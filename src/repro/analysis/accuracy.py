@@ -35,8 +35,8 @@ from ..perf.executor import ParallelExecutor
 from ..perf.instrument import stage
 
 
-__all__ = ["AUDIT_SEED", "ErrorEntry", "error_metrics", "accuracy_table",
-           "accuracy_tables"]
+__all__ = ["AUDIT_SEED", "ErrorEntry", "error_metrics", "accuracy_key",
+           "accuracy_table", "accuracy_tables"]
 
 #: the fixed dataset seed of the Table 6 audit — shared with the
 #: observation graph's dataset-gen nodes so they warm the exact
@@ -121,6 +121,19 @@ def _accuracy_table_uncached(workload: Workload, device: Device,
     return entries
 
 
+def accuracy_key(workload: Workload, device: Device,
+                 seed: int = AUDIT_SEED) -> str:
+    """The result-cache key (kind ``"accuracy"``) of one Table 6 audit.
+
+    Shared by :func:`accuracy_table` and the observation graph's
+    ``accuracy:`` nodes, which declare it as their cache address.  Raises
+    ``TypeError`` when the workload's parameters are not keyable.
+    """
+    return content_key("accuracy_table", package_source_token(),
+                       type(workload).__qualname__, vars(workload),
+                       device.spec, seed, np.__version__)
+
+
 def accuracy_table(workload: Workload, device: Device,
                    seed: int = AUDIT_SEED) -> list[ErrorEntry]:
     """Table 6 rows for one workload on one device.
@@ -135,9 +148,7 @@ def accuracy_table(workload: Workload, device: Device,
     every entry whenever any kernel/simulator code changes.
     """
     try:
-        key = content_key("accuracy_table", package_source_token(),
-                          type(workload).__qualname__, vars(workload),
-                          device.spec, seed, np.__version__)
+        key = accuracy_key(workload, device, seed)
     except TypeError:
         return _accuracy_table_uncached(workload, device, seed)
     with stage("analysis.accuracy_table"):

@@ -21,12 +21,13 @@ from ..kernels import all_workloads, get_workload
 from ..perf.cache import content_key, default_cache, package_source_token
 from ..perf.executor import ParallelExecutor
 from ..perf.instrument import stage
-from .accuracy import AUDIT_SEED, accuracy_table, accuracy_tables
+from .accuracy import (AUDIT_SEED, accuracy_key, accuracy_table,
+                       accuracy_tables)
 from .edp import edp_study, quadrant_geomeans
 from .quadrants import classify
 
 __all__ = ["ObservationResult", "build_observations_graph", "verify_all",
-           "OBSERVATIONS"]
+           "observation_key", "OBSERVATIONS"]
 
 
 @dataclass
@@ -229,6 +230,16 @@ OBSERVATIONS: tuple[Callable, ...] = (
 )
 
 
+def observation_key(idx: int) -> str:
+    """The result-cache key (kind ``"observation"``) of the default-suite
+    verdict of observation ``idx + 1``.
+
+    Shared by :func:`_run_observation` and the observation graph's
+    ``observation:`` nodes, which declare it as their cache address."""
+    return content_key("observation", package_source_token(), idx + 1,
+                       np.__version__)
+
+
 def _run_observation(task: tuple[int, list[Workload] | None,
                                  list[Device] | None]) -> ObservationResult:
     """Worker: evaluate one observation by index.  ``None`` workloads or
@@ -248,10 +259,8 @@ def _run_observation(task: tuple[int, list[Workload] | None,
         devices = [Device("A100"), Device("H200"), Device("B200")]
     if not default_suite:
         return OBSERVATIONS[idx](workloads, devices)
-    key = content_key("observation", package_source_token(), idx + 1,
-                      np.__version__)
     return default_cache().get_or_compute(
-        "observation", key,
+        "observation", observation_key(idx),
         lambda: OBSERVATIONS[idx](workloads, devices))
 
 
@@ -294,10 +303,19 @@ def build_observations_graph(workloads: list[Workload] | None = None,
     Explicit workload/device lists skip the warm-up spine (their
     identity is not reliably keyable for the shared caches) and emit
     the nine observation nodes only.
+
+    Default-suite ``observation:`` and ``accuracy:`` nodes declare the
+    result-cache address their callable writes (:func:`observation_key`,
+    :func:`~repro.analysis.accuracy.accuracy_key`), so the scheduler's
+    demand pass replays a warm audit from its nine verdicts; a
+    ``dataset:`` node's product is a side effect with no address, and it
+    runs only when the accuracy audit below it misses.
     """
     g = TaskGraph()
+    default_suite = workloads is None and devices is None
     obs_deps: tuple[str, ...] = ()
-    if workloads is None and devices is None:
+    if default_suite:
+        h200 = Device("H200")
         fp_names = [w.name for w in all_workloads() if w.floating_point]
         for name in fp_names:
             g.add(TaskNode(key=f"dataset:{name}", kind="dataset-gen",
@@ -306,7 +324,9 @@ def build_observations_graph(workloads: list[Workload] | None = None,
             g.add(TaskNode(key=f"accuracy:{name}", kind="accuracy-audit",
                            fn=_node_accuracy, args=(name,),
                            deps=(f"dataset:{name}",),
-                           label=f"accuracy {name}"))
+                           label=f"accuracy {name}",
+                           cache=("accuracy", accuracy_key(
+                               get_workload(name), h200, AUDIT_SEED))))
         obs_deps = tuple(f"accuracy:{n}" for n in fp_names)
     for i in range(len(OBSERVATIONS)):
         g.add(TaskNode(key=f"observation:{i + 1:02d}",
@@ -314,7 +334,9 @@ def build_observations_graph(workloads: list[Workload] | None = None,
                        fn=_run_observation,
                        args=((i, workloads, devices),),
                        deps=obs_deps if i == 6 else (),
-                       label=f"observation {i + 1}"))
+                       label=f"observation {i + 1}",
+                       cache=("observation", observation_key(i))
+                       if default_suite else None))
     return g
 
 

@@ -1031,6 +1031,11 @@ def main(argv: list[str] | None = None) -> int:
         workers = stage_meta().get("max_workers")
         if workers:
             print(f"effective worker processes: {workers}")
+        graph = stage_meta().get("graph")
+        if isinstance(graph, dict):
+            print(f"graph: {graph['nodes']} nodes, "
+                  f"{graph['cached_nodes']} from cache, "
+                  f"{graph['skipped_nodes']} not needed")
     # machine-readable stage dump for the bench profiler (subprocess runs
     # cannot share the in-process registry)
     stage_json = os.environ.get("REPRO_STAGE_JSON")

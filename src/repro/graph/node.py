@@ -5,7 +5,10 @@ audit one workload's accuracy, evaluate one observation, resolve one
 perf grid — identified by a ``key`` (the same content-key vocabulary the
 result cache uses, so a node and its cached artifact name the same
 thing), classified by a ``kind`` (its profiler stage and its bench
-attribution group), and computed by a module-level callable.
+attribution group), and computed by a module-level callable.  A node
+whose callable stores its result in the result cache may declare that
+``cache`` address, so the scheduler can serve it from there before
+scheduling the node or anything upstream of it.
 
 :class:`TaskGraph` collects nodes and their dependency edges and
 produces a *deterministic* topological order: ready nodes are always
@@ -34,7 +37,9 @@ class TaskNode:
     :class:`~repro.perf.executor.ParallelExecutor` ships chunks.
     ``deps`` name the keys of nodes that must complete first; ``kind``
     becomes the node's ``graph/<kind>`` profiler stage and its bench
-    attribution group.
+    attribution group.  ``cache`` is the ``(kind, key)`` result-cache
+    address ``fn`` already writes its value to; ``None`` for nodes whose
+    product is a side effect or is not cached.
     """
 
     key: str
@@ -43,6 +48,7 @@ class TaskNode:
     args: tuple = ()
     deps: tuple[str, ...] = ()
     label: str = ""
+    cache: tuple[str, str] | None = None
 
     @property
     def display(self) -> str:

@@ -8,6 +8,18 @@ a ready node runs the moment its dependencies complete, so dataset
 generation for workload B overlaps the accuracy audit of workload A and
 the per-observation audit nodes of both.
 
+Demand pass: before anything is scheduled, :meth:`GraphScheduler.run`
+walks the graph in reverse topological order from its sinks (every sink
+is demanded).  A demanded node that declares a result-cache address
+(:attr:`~repro.graph.node.TaskNode.cache`) is probed in the parent with
+:meth:`~repro.perf.cache.ResultCache.peek`: a hit becomes the node's
+result and leaves its dependencies undemanded; a miss — or a node with
+no address — demands every dependency.  Only demanded misses execute, so
+a warm observation audit replays its nine verdicts without generating a
+dataset or starting a pool.  Probes verify checksums like any cache
+read (a corrupt entry is quarantined and counts as a miss), and with
+``REPRO_CACHE=0`` every probe misses and every node runs.
+
 Execution model:
 
 * ``n_jobs <= 1`` (or one node): the serial path — nodes run in-process
@@ -45,6 +57,7 @@ from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..perf.cache import default_cache
 from ..perf.executor import (ParallelExecutor, WorkerTaskError, _env_float,
                              _env_int, _run_chunk_remote, resolve_n_jobs)
 from ..perf.instrument import (merge_stage_timings, note_graph_run,
@@ -79,7 +92,12 @@ class GraphStats:
     workers: int = 1
     makespan_s: float = 0.0
     node_wall_s: float = 0.0
-    overlap_ratio: float = 1.0
+    #: summed node wall over makespan; None when no node executed
+    overlap_ratio: float | None = None
+    #: demanded nodes served by a cache probe instead of executing
+    cached_nodes: int = 0
+    #: nodes never demanded (only a cache hit downstream needed them)
+    skipped_nodes: int = 0
     #: pool rounds that failed (crash/hang) during the run
     failed_rounds: int = 0
     #: node submissions beyond the first attempt
@@ -133,37 +151,74 @@ class GraphScheduler:
 
     # ------------------------------------------------------------- run
     def run(self, graph: TaskGraph) -> dict[str, Any]:
-        """Execute every node; returns ``{key: value}``.
+        """Execute every demanded node; returns ``{key: value}``.
 
-        Deterministic regardless of worker count, completion order, or
-        injected faults: the result of each node depends only on its
-        arguments, and assembly is by key.
+        The result holds every sink and every other demanded node
+        (executed or served from the cache); nodes that were never
+        demanded are absent.  Deterministic regardless of worker count,
+        completion order, cache state, or injected faults: the result of
+        each node depends only on its arguments, and assembly is by key.
         """
         order = graph.order()
         stats = self.last_stats = GraphStats(nodes=len(order))
         if not order:
             return {}
-        workers = min(self.n_jobs, len(order))
-        stats.workers = max(workers, 1)
-        note_worker_count(stats.workers)
-        walls: dict[str, float] = {}
         t0 = time.perf_counter()
+        results, pending = self._demand(graph, order)
+        stats.cached_nodes = len(results)
+        stats.skipped_nodes = len(order) - len(results) - len(pending)
+        walls: dict[str, float] = {}
+        workers = min(self.n_jobs, len(pending))
+        stats.workers = max(workers, 1)
+        if pending:
+            note_worker_count(stats.workers)
         if workers <= 1:
-            results = {key: self._run_inline(graph.node(key), walls)
-                       for key in order}
-        else:
-            results = self._run_pooled(graph, order, workers, walls, stats)
+            for key in pending:
+                results[key] = self._run_inline(graph.node(key), walls)
+        elif pending:
+            results.update(self._run_pooled(graph, pending, workers, walls,
+                                            stats))
         stats.makespan_s = time.perf_counter() - t0
         stats.node_wall_s = sum(walls.values())
-        stats.overlap_ratio = (stats.node_wall_s / stats.makespan_s
-                               if stats.makespan_s > 0 else 1.0)
+        if walls and stats.makespan_s > 0:
+            stats.overlap_ratio = stats.node_wall_s / stats.makespan_s
         for key, wall in walls.items():
             kind = graph.node(key).kind
             stats.per_kind_wall_s[kind] = \
                 stats.per_kind_wall_s.get(kind, 0.0) + wall
         note_graph_run(stats.nodes, stats.node_wall_s, stats.makespan_s,
-                       workers=stats.workers)
+                       workers=stats.workers, cached=stats.cached_nodes,
+                       skipped=stats.skipped_nodes)
         return results
+
+    # ---------------------------------------------------------- demand
+    @staticmethod
+    def _demand(graph: TaskGraph,
+                order: list[str]) -> tuple[dict[str, Any], list[str]]:
+        """The demand pass: ``(cache hits by key, keys to execute)``.
+
+        Walks ``order`` backwards, so every dependent of a node is
+        settled before the node itself; the keys to execute come back in
+        topological order.
+        """
+        dependents = graph.dependents()
+        demanded = {key for key in order if not dependents[key]}
+        hits: dict[str, Any] = {}
+        pending: list[str] = []
+        with stage("graph.demand"):
+            for key in reversed(order):
+                if key not in demanded:
+                    continue
+                node = graph.node(key)
+                if node.cache is not None:
+                    found, value = default_cache().peek(*node.cache)
+                    if found:
+                        hits[key] = value
+                        continue
+                pending.append(key)
+                demanded.update(node.deps)
+        pending.reverse()
+        return hits, pending
 
     # ---------------------------------------------------------- serial
     def _run_inline(self, node: TaskNode, walls: dict[str, float]) -> Any:
@@ -189,8 +244,11 @@ class GraphScheduler:
     def _run_pooled(self, graph: TaskGraph, order: list[str],
                     workers: int, walls: dict[str, float],
                     stats: GraphStats) -> dict[str, Any]:
+        # deps outside ``order`` were served by the demand pass
+        run_set = set(order)
         dependents = graph.dependents()
-        deps_left = {k: len(set(graph.node(k).deps)) for k in order}
+        deps_left = {k: len(set(graph.node(k).deps) & run_set)
+                     for k in order}
         results: dict[str, Any] = {}
         ready: list[str] = []       # concurrent nodes, smallest key first
         exclusive: list[str] = []   # policy-serialized nodes
@@ -206,6 +264,8 @@ class GraphScheduler:
         def _complete(key: str, value: Any) -> None:
             results[key] = value
             for child in dependents[key]:
+                if child not in deps_left:
+                    continue  # never demanded
                 deps_left[child] -= 1
                 if deps_left[child] == 0:
                     _enqueue(child)

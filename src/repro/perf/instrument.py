@@ -159,7 +159,8 @@ def note_worker_count(n: int) -> None:
 
 
 def note_graph_run(nodes: int, node_wall_s: float, makespan_s: float, *,
-                   workers: int = 1) -> None:
+                   workers: int = 1, cached: int = 0,
+                   skipped: int = 0) -> None:
     """Accumulate one task-graph execution into the run metadata.
 
     ``overlap_ratio`` — summed node wall over summed makespan — is the
@@ -168,20 +169,29 @@ def note_graph_run(nodes: int, node_wall_s: float, makespan_s: float, *,
     overlapped.  The bench profiler lifts it from the ``REPRO_STAGE_JSON``
     meta into ``BENCH_perf.json``, where ``repro bench --check`` gates
     it (the ``min_overlap_ratio`` budget applies only to multi-worker
-    runs — a serial schedule cannot overlap).
+    runs — a serial schedule cannot overlap).  A run that executed no
+    node (every sink served from the cache) adds no makespan, and while
+    no node has executed the ratio stays None: nothing overlapped, and
+    nothing failed to.  ``cached`` and ``skipped`` count the nodes the
+    scheduler's demand pass served from the cache and never demanded.
     """
     g = _META.get("graph")
     if not isinstance(g, dict):
-        g = _META["graph"] = {"runs": 0, "nodes": 0, "workers": 1,
+        g = _META["graph"] = {"runs": 0, "nodes": 0, "cached_nodes": 0,
+                              "skipped_nodes": 0, "workers": 1,
                               "node_wall_s": 0.0, "makespan_s": 0.0,
-                              "overlap_ratio": 1.0}
+                              "overlap_ratio": None}
     g["runs"] += 1
     g["nodes"] += int(nodes)
+    g["cached_nodes"] += int(cached)
+    g["skipped_nodes"] += int(skipped)
     g["workers"] = max(int(workers), g["workers"])
+    if int(nodes) - int(cached) - int(skipped) <= 0:
+        return
     g["node_wall_s"] = round(g["node_wall_s"] + float(node_wall_s), 6)
     g["makespan_s"] = round(g["makespan_s"] + float(makespan_s), 6)
     g["overlap_ratio"] = round(g["node_wall_s"] / g["makespan_s"], 3) \
-        if g["makespan_s"] > 0 else 1.0
+        if g["makespan_s"] > 0 else None
 
 
 def stage_meta() -> dict[str, object]:
