@@ -13,18 +13,20 @@ math).  The structural findings the study must reproduce: TC and CC give
 simulation, by construction — accumulation order), while CC-E and the
 baselines round differently.
 
-Hot-path layout: the reference output is flattened once per workload (not
-once per variant), sparse outputs densify into one reused buffer, and the
-per-element error reduction runs in-place on a second reused buffer —
-first-touch page faults on the ~quarter-GB SpGEMM comparisons dominated
-the audit before, and buffer reuse removes them without changing a single
-arithmetic operation (bit-identity is pinned by
-``tests/kernels/accuracy_digests.json``).
+Hot-path layout: the reference output is prepared once per workload (not
+once per variant) and every comparison reduces through one reused error
+buffer.  Sparse outputs never densify: the errors of a CSR pair are
+scattered into a zeroed buffer at the two patterns' positions and the
+buffer is re-zeroed there afterwards, so the SpGEMM comparison moves
+nonzeros instead of three quarter-GB dense arrays — with every element,
+and so every reduced value, equal to the dense computation's
+(bit-identity is pinned by ``tests/kernels/accuracy_digests.json``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from ..kernels.base import Workload
 from ..perf.cache import content_key, default_cache, package_source_token
 from ..perf.executor import ParallelExecutor
 from ..perf.instrument import stage
+from ..sparse.csr import CsrMatrix
 
 
 __all__ = ["AUDIT_SEED", "ErrorEntry", "error_metrics", "accuracy_key",
@@ -55,15 +58,21 @@ class ErrorEntry:
     samples: int
 
 
-def _flatten(output, dense_out: np.ndarray | None = None) -> np.ndarray:
-    """Outputs may be arrays, complex arrays, or CSR matrices.
+class _Sparse(NamedTuple):
+    """A CSR output flattened row-major without densifying."""
 
-    ``dense_out`` is an optional preallocated buffer for sparse
-    densification (same values, no fresh allocation).
-    """
+    keys: np.ndarray     # flat positions of the stored entries
+    values: np.ndarray
+    size: int            # the dense length, n_rows * n_cols
+
+
+def _flatten(output) -> np.ndarray | _Sparse:
+    """Outputs may be arrays, complex arrays, or CSR matrices."""
+    if isinstance(output, CsrMatrix):
+        keys = output.row_of_entry() * np.int64(output.n_cols) \
+            + output.indices
+        return _Sparse(keys, output.data, output.n_rows * output.n_cols)
     if hasattr(output, "to_dense"):
-        if dense_out is not None and dense_out.shape == output.shape:
-            return output.to_dense(out=dense_out).ravel()
         return output.to_dense().ravel()
     arr = np.asarray(output)
     if np.iscomplexobj(arr):
@@ -71,15 +80,51 @@ def _flatten(output, dense_out: np.ndarray | None = None) -> np.ndarray:
     return arr.astype(np.float64, copy=False).ravel()
 
 
+def _dense(flat: np.ndarray | _Sparse) -> np.ndarray:
+    if isinstance(flat, _Sparse):
+        dense = np.zeros(flat.size)
+        dense[flat.keys] = flat.values
+        return dense
+    return flat
+
+
+def _errors(got: np.ndarray | _Sparse, ref: np.ndarray | _Sparse,
+            err: np.ndarray) -> tuple[float, float, int]:
+    """(average, maximum, sample count) of ``|got - ref|`` elementwise.
+
+    ``err`` is a float64 scratch buffer of the dense length.  When both
+    sides are sparse it must be all zero on entry, and it is all zero
+    again on return: ``got`` is scattered in, ``ref`` subtracted at its
+    positions and ``abs`` taken at both, which gives every element the
+    value of the dense ``abs(got - ref)`` (``x - 0.0`` is ``x``, and
+    untouched positions are ``abs(0.0 - 0.0)``).  The mean still reduces
+    over the whole dense length: summing only the touched positions
+    would change numpy's pairwise-summation tree and the rounding.
+    """
+    if got.size != ref.size:
+        raise ValueError(
+            f"output shape ({got.size},) != reference shape ({ref.size},)")
+    if not (isinstance(got, _Sparse) and isinstance(ref, _Sparse)):
+        np.subtract(_dense(got), _dense(ref), out=err)
+        np.abs(err, out=err)
+        result = float(err.mean()), float(err.max()), int(err.size)
+        if isinstance(ref, _Sparse) or isinstance(got, _Sparse):
+            err.fill(0.0)
+        return result
+    err[got.keys] = got.values
+    err[ref.keys] -= ref.values
+    for keys in (got.keys, ref.keys):
+        err[keys] = np.abs(err[keys])
+    result = float(err.mean()), float(err.max()), int(err.size)
+    err[got.keys] = 0.0
+    err[ref.keys] = 0.0
+    return result
+
+
 def error_metrics(output, reference) -> tuple[float, float, int]:
     """(average, maximum, sample count) of absolute elementwise error."""
-    got = _flatten(output)
-    ref = _flatten(reference)
-    if got.shape != ref.shape:
-        raise ValueError(
-            f"output shape {got.shape} != reference shape {ref.shape}")
-    err = np.abs(got - ref)
-    return float(err.mean()), float(err.max()), int(err.size)
+    got, ref = _flatten(output), _flatten(reference)
+    return _errors(got, ref, np.zeros(ref.size))
 
 
 def _accuracy_table_uncached(workload: Workload, device: Device,
@@ -92,32 +137,17 @@ def _accuracy_table_uncached(workload: Workload, device: Device,
     with stage("accuracy.prepare"):
         data = workload.prepare(case, seed=seed)
     with stage("accuracy.reference"):
-        reference = workload.reference(data)
-        ref_flat = _flatten(reference)
-    err = np.empty_like(ref_flat)
-    dense_buf = None
+        ref = _flatten(workload.reference(data))
+    err = np.zeros(ref.size)
     entries = []
     for variant in workload.variants():
         with stage(f"accuracy.execute:{variant.value}"):
             result = workload.execute(variant, data, device)
         with stage("accuracy.compare"):
-            out = result.output
-            if hasattr(out, "to_dense") and \
-                    (dense_buf is None or dense_buf.shape != out.shape):
-                dense_buf = np.empty(out.shape)
-            got = _flatten(out, dense_out=dense_buf)
-            if got.shape != ref_flat.shape:
-                raise ValueError(
-                    f"output shape {got.shape} != reference shape "
-                    f"{ref_flat.shape}")
-            # same subtract/abs/mean/max value sequence as error_metrics,
-            # routed through reused buffers
-            np.subtract(got, ref_flat, out=err)
-            np.abs(err, out=err)
+            avg, mx, n = _errors(_flatten(result.output), ref, err)
             entries.append(ErrorEntry(
                 workload=workload.name, variant=variant.value,
-                avg_error=float(err.mean()), max_error=float(err.max()),
-                samples=int(err.size)))
+                avg_error=avg, max_error=mx, samples=n))
     return entries
 
 

@@ -14,9 +14,11 @@ from typing import Callable
 
 import numpy as np
 
+from ..gpu.counters import KernelStats
 from ..gpu.device import Device
 from ..graph import GraphScheduler, TaskGraph, TaskNode, graph_enabled
-from ..kernels.base import Quadrant, Variant, Workload
+from ..kernels.base import (Quadrant, Variant, Workload, install_stats,
+                            stats_table)
 from ..kernels import all_workloads, get_workload
 from ..perf.cache import content_key, default_cache, package_source_token
 from ..perf.executor import ParallelExecutor
@@ -27,7 +29,7 @@ from .edp import edp_study, quadrant_geomeans
 from .quadrants import classify
 
 __all__ = ["ObservationResult", "build_observations_graph", "verify_all",
-           "observation_key", "OBSERVATIONS"]
+           "observation_key", "stats_key", "OBSERVATIONS"]
 
 
 @dataclass
@@ -240,6 +242,18 @@ def observation_key(idx: int) -> str:
                        np.__version__)
 
 
+def stats_key(workload: Workload) -> str:
+    """The result-cache key (kind ``"stats"``) of one workload's
+    analytic-stats table (:func:`~repro.kernels.base.stats_table`).
+
+    Shared by :func:`_node_stats`, :func:`_run_observation` and the
+    observation graph's ``stats:`` nodes, which declare it as their cache
+    address.  Raises ``TypeError`` when the workload is not keyable."""
+    return content_key("stats", package_source_token(),
+                       type(workload).__qualname__,
+                       dict(workload._memo_state()), np.__version__)
+
+
 def _run_observation(task: tuple[int, list[Workload] | None,
                                  list[Device] | None]) -> ObservationResult:
     """Worker: evaluate one observation by index.  ``None`` workloads or
@@ -249,8 +263,11 @@ def _run_observation(task: tuple[int, list[Workload] | None,
     Default-suite verdicts are content-address cached: every input is
     fixed-seed deterministic and the key carries the whole package source
     token, so a warm audit replays from the cache while any code change
-    invalidates it.  Explicit workload/device lists skip the cache (their
-    identity is not reliably keyable)."""
+    invalidates it.  On a miss the suite's analytic-stats tables, which
+    the graph's ``stats:`` nodes persisted, seed this process's stats memo
+    first; a table that is missing (or was quarantined as corrupt) leaves
+    its workload to compute its own stats.  Explicit workload/device lists
+    skip the cache (their identity is not reliably keyable)."""
     idx, workloads, devices = task
     default_suite = workloads is None and devices is None
     if workloads is None:
@@ -259,9 +276,28 @@ def _run_observation(task: tuple[int, list[Workload] | None,
         devices = [Device("A100"), Device("H200"), Device("B200")]
     if not default_suite:
         return OBSERVATIONS[idx](workloads, devices)
+
+    def evaluate() -> ObservationResult:
+        for w in workloads:
+            found, table = default_cache().peek("stats", stats_key(w))
+            if found:
+                install_stats(table)
+        return OBSERVATIONS[idx](workloads, devices)
+
     return default_cache().get_or_compute(
-        "observation", observation_key(idx),
-        lambda: OBSERVATIONS[idx](workloads, devices))
+        "observation", observation_key(idx), evaluate)
+
+
+def _node_stats(name: str) -> dict[str, KernelStats]:
+    """Analytic-stats node: one workload's stats table, computed once per
+    audit and persisted at :func:`stats_key`.
+
+    Several observations read the same workload's stats; without this
+    node each pool worker that ran one of them recomputed the whole
+    suite's stats in its own process-local memo."""
+    w = get_workload(name)
+    return default_cache().get_or_compute(
+        "stats", stats_key(w), lambda: stats_table(w))
 
 
 def _node_dataset(name: str) -> str:
@@ -294,46 +330,56 @@ def build_observations_graph(workloads: list[Workload] | None = None,
 
     For the default suite the audit over-decomposes: per floating-point
     workload a ``dataset:<name>`` node feeds an ``accuracy:<name>``
-    node, and the nine ``observation:NN`` nodes ride alongside — only
-    O7 (the functional accuracy study) depends on the accuracy nodes;
-    the other eight use analytic stats only and are ready immediately.
-    Dataset generation for workload B therefore overlaps the accuracy
-    audit of workload A *and* the analytic observations of both.
+    node, and per workload a ``stats:<name>`` node computes its
+    analytic-stats table.  The nine ``observation:NN`` nodes depend on
+    every stats node, and O7 (the functional accuracy study) also on
+    the accuracy nodes.  Dataset generation for workload B therefore
+    overlaps the accuracy audit of workload A *and* the stats tables of
+    both, and each table is computed once instead of once per worker.
 
     Explicit workload/device lists skip the warm-up spine (their
     identity is not reliably keyable for the shared caches) and emit
     the nine observation nodes only.
 
-    Default-suite ``observation:`` and ``accuracy:`` nodes declare the
-    result-cache address their callable writes (:func:`observation_key`,
-    :func:`~repro.analysis.accuracy.accuracy_key`), so the scheduler's
-    demand pass replays a warm audit from its nine verdicts; a
-    ``dataset:`` node's product is a side effect with no address, and it
-    runs only when the accuracy audit below it misses.
+    Default-suite ``observation:``, ``accuracy:`` and ``stats:`` nodes
+    declare the result-cache address their callable writes
+    (:func:`observation_key`,
+    :func:`~repro.analysis.accuracy.accuracy_key`, :func:`stats_key`),
+    so the scheduler's demand pass replays a warm audit from its nine
+    verdicts; a ``dataset:`` node's product is a side effect with no
+    address, and it runs only when the accuracy audit below it misses.
     """
     g = TaskGraph()
     default_suite = workloads is None and devices is None
-    obs_deps: tuple[str, ...] = ()
+    stats_deps: tuple[str, ...] = ()
+    accuracy_deps: tuple[str, ...] = ()
     if default_suite:
         h200 = Device("H200")
-        fp_names = [w.name for w in all_workloads() if w.floating_point]
-        for name in fp_names:
-            g.add(TaskNode(key=f"dataset:{name}", kind="dataset-gen",
-                           fn=_node_dataset, args=(name,),
-                           label=f"dataset {name}"))
-            g.add(TaskNode(key=f"accuracy:{name}", kind="accuracy-audit",
-                           fn=_node_accuracy, args=(name,),
-                           deps=(f"dataset:{name}",),
-                           label=f"accuracy {name}",
+        for w in all_workloads():
+            g.add(TaskNode(key=f"stats:{w.name}", kind="analytic-stats",
+                           fn=_node_stats, args=(w.name,),
+                           label=f"stats {w.name}",
+                           cache=("stats", stats_key(w))))
+            if not w.floating_point:
+                continue
+            g.add(TaskNode(key=f"dataset:{w.name}", kind="dataset-gen",
+                           fn=_node_dataset, args=(w.name,),
+                           label=f"dataset {w.name}"))
+            g.add(TaskNode(key=f"accuracy:{w.name}", kind="accuracy-audit",
+                           fn=_node_accuracy, args=(w.name,),
+                           deps=(f"dataset:{w.name}",),
+                           label=f"accuracy {w.name}",
                            cache=("accuracy", accuracy_key(
-                               get_workload(name), h200, AUDIT_SEED))))
-        obs_deps = tuple(f"accuracy:{n}" for n in fp_names)
+                               w, h200, AUDIT_SEED))))
+        stats_deps = tuple(f"stats:{w.name}" for w in all_workloads())
+        accuracy_deps = tuple(f"accuracy:{w.name}" for w in all_workloads()
+                              if w.floating_point)
     for i in range(len(OBSERVATIONS)):
         g.add(TaskNode(key=f"observation:{i + 1:02d}",
                        kind="observation-audit",
                        fn=_run_observation,
                        args=((i, workloads, devices),),
-                       deps=obs_deps if i == 6 else (),
+                       deps=stats_deps + (accuracy_deps if i == 6 else ()),
                        label=f"observation {i + 1}",
                        cache=("observation", observation_key(i))
                        if default_suite else None))

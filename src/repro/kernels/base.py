@@ -47,6 +47,8 @@ __all__ = [
     "get_workload",
     "all_workloads",
     "workload_names",
+    "stats_table",
+    "install_stats",
     # calibration
     "TC_EFF",
     "TC_EFF_CONST",
@@ -123,6 +125,11 @@ class WorkloadCase:
 # mutate/merge stats never corrupt the cache.  Bit-identity of memoized vs
 # fresh results is guaranteed by construction (the same object's field
 # values) and asserted in the perf tests.
+#
+# The memo lives in one process.  ``stats_table`` packages a workload's
+# whole grid of stats so it can be computed once and shipped elsewhere
+# (the observation audit persists one table per workload through the
+# result cache); ``install_stats`` seeds another process's memo with it.
 
 _STATS_MEMO: OrderedDict[str, KernelStats] = OrderedDict()
 _STATS_MEMO_MAX = 8192
@@ -133,28 +140,52 @@ def _copy_stats(st: KernelStats) -> KernelStats:
     return replace(st, dram=list(st.dram))
 
 
+def _memo_key(workload: "Workload", variant: "Variant",
+              case: "WorkloadCase") -> str:
+    """The memo key of one triple; ``TypeError`` when unkeyable."""
+    return content_key(type(workload).__qualname__,
+                       dict(workload._memo_state()),
+                       variant, case.label, dict(case.params))
+
+
+def _memo_put(key: str, st: KernelStats) -> None:
+    _STATS_MEMO[key] = st
+    _STATS_MEMO.move_to_end(key)
+    while len(_STATS_MEMO) > _STATS_MEMO_MAX:
+        _STATS_MEMO.popitem(last=False)
+
+
 def _memoize_stats(impl: Callable[..., KernelStats]
                    ) -> Callable[..., KernelStats]:
     @functools.wraps(impl)
     def wrapper(self: "Workload", variant: "Variant",
                 case: "WorkloadCase") -> KernelStats:
         try:
-            key = content_key(type(self).__qualname__,
-                              dict(self._memo_state()),
-                              variant, case.label, dict(case.params))
+            key = _memo_key(self, variant, case)
         except TypeError:   # unkeyable workload/case state: just compute
             return impl(self, variant, case)
         hit = _STATS_MEMO.get(key)
         if hit is None:
             hit = impl(self, variant, case)
-            _STATS_MEMO[key] = hit
-            _STATS_MEMO.move_to_end(key)
-            while len(_STATS_MEMO) > _STATS_MEMO_MAX:
-                _STATS_MEMO.popitem(last=False)
+            _memo_put(key, hit)
         return _copy_stats(hit)
 
     wrapper._stats_memoized = True  # type: ignore[attr-defined]
     return wrapper
+
+
+def stats_table(workload: "Workload") -> dict[str, KernelStats]:
+    """``workload.analytic_stats`` over ``variants() x cases()``, keyed
+    by memo key.  Raises ``TypeError`` when the workload is unkeyable."""
+    return {_memo_key(workload, v, c): workload.analytic_stats(v, c)
+            for v in workload.variants() for c in workload.cases()}
+
+
+def install_stats(table: Mapping[str, KernelStats]) -> None:
+    """Seed this process's memo with a :func:`stats_table` computed
+    elsewhere: later ``analytic_stats`` calls on its triples are hits."""
+    for key, st in table.items():
+        _memo_put(key, st)
 
 
 class Workload(abc.ABC):

@@ -91,6 +91,7 @@ PROFILE_GROUPS: tuple[tuple[str, tuple[str, ...]], ...] = (
                         "accuracy-audit")),
     ("observation-audit", ("verify.", "analysis.verify_all",
                            "observation-audit")),
+    ("analytic-stats", ("analytic-stats",)),
     ("refinement", ("refine.",)),
     ("ozaki", ("ozaki.",)),
     ("analysis", ("analysis.",)),

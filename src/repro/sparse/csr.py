@@ -63,8 +63,9 @@ class CsrMatrix:
             raise ValueError("row index out of range")
         if len(cols) and (cols.min() < 0 or cols.max() >= n_cols):
             raise ValueError("column index out of range")
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
+        if not _row_major_sorted(rows, cols):
+            order = np.lexsort((cols, rows))
+            rows, cols, vals = rows[order], cols[order], vals[order]
         if sum_duplicates and len(rows):
             keys = rows * np.int64(n_cols) + cols
             uniq, inverse = np.unique(keys, return_inverse=True)
@@ -74,8 +75,7 @@ class CsrMatrix:
             cols = (uniq % n_cols).astype(np.int64)
             vals = summed
         indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
         return cls(indptr, cols, vals, shape)
 
     @classmethod
@@ -108,18 +108,9 @@ class CsrMatrix:
         return np.repeat(np.arange(self.n_rows, dtype=np.int64),
                          self.row_lengths())
 
-    def to_dense(self, out: np.ndarray | None = None) -> np.ndarray:
-        """Dense copy; ``out`` reuses a caller-held buffer (the accuracy
-        audit densifies quarter-GB outputs repeatedly — a fresh zeros()
-        pays first-touch page faults every time)."""
-        if out is None:
-            dense = np.zeros(self.shape)
-        else:
-            if out.shape != self.shape:
-                raise ValueError(
-                    f"out shape {out.shape} != matrix shape {self.shape}")
-            dense = out
-            dense[...] = 0.0
+    def to_dense(self) -> np.ndarray:
+        """Dense copy."""
+        dense = np.zeros(self.shape)
         dense[self.row_of_entry(), self.indices] = self.data
         return dense
 
@@ -277,3 +268,12 @@ class CsrMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CsrMatrix(shape={self.shape}, nnz={self.nnz})")
+
+
+def _row_major_sorted(rows: np.ndarray, cols: np.ndarray) -> bool:
+    """Are the triplets already in ``lexsort((cols, rows))`` order?  Ties
+    may repeat: the stable sort would keep them in place."""
+    if len(rows) < 2:
+        return True
+    drow = np.diff(rows)
+    return bool(np.all((drow > 0) | ((drow == 0) & (np.diff(cols) >= 0))))

@@ -7,13 +7,17 @@ verdicts without generating a dataset or starting a pool.  These tests
 pin that contract on small synthetic graphs and on the real observation
 graph (one shared cold audit populates the cache for the latter), plus
 the two ways it must degrade to "run everything": ``REPRO_CACHE=0`` and
-corrupt entries.
+corrupt entries.  The observation graph's ``stats:`` nodes get the same
+treatment: each workload's analytic stats are computed in one process,
+and a verdict that misses replays them from the persisted tables.
 """
 
 import hashlib
 import json
 import os
+import pickle
 import shutil
+from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
@@ -26,12 +30,14 @@ from repro.analysis.accuracy import AUDIT_SEED, accuracy_key
 from repro.analysis.observations import (
     build_observations_graph,
     observation_key,
+    stats_key,
     verify_all,
 )
 from repro.gpu import Device
 from repro.graph import GraphScheduler, TaskGraph, TaskNode
 from repro.graph import scheduler as sched_mod
 from repro.kernels import SpmvWorkload, all_workloads, get_workload
+from repro.kernels import base as base_mod
 from repro.perf import executor as executor_mod
 from repro.perf.cache import (
     ResultCache,
@@ -87,6 +93,16 @@ def _no_pool(*args, **kwargs):
 
 def _no_dataset(*args, **kwargs):
     raise AssertionError("a dataset generator was called")
+
+
+def _no_stats(self, variant, case):
+    raise AssertionError(f"{self.name} computed analytic stats")
+
+
+def _fresh_stats_memo(mp):
+    """An empty process-local stats memo (pool workers fork it), so
+    stats that earlier tests memoized cannot stand in for a table."""
+    mp.setattr(base_mod, "_STATS_MEMO", OrderedDict())
 
 
 def _addr(name):
@@ -240,19 +256,53 @@ class TestCacheKeys:
         assert base not in variants
         assert len(set(variants)) == len(variants)
 
+    def test_stats_key_components(self, monkeypatch):
+        assert len({stats_key(w) for w in all_workloads()}) == 10
+        spmv = get_workload("spmv")
+        base = stats_key(spmv)
+        variants = [stats_key(SpmvWorkload(scale=0.08))]
+        monkeypatch.setattr(np, "__version__", "0.0.0")
+        variants.append(stats_key(spmv))
+        monkeypatch.undo()
+        monkeypatch.setattr(obs_mod, "package_source_token",
+                            lambda: "edited-source")
+        variants.append(stats_key(spmv))
+        assert base not in variants
+        assert len(set(variants)) == len(variants)
+
 
 # ------------------------------------------------- the observation graph
+
+def _recording(impl, log):
+    """``impl`` that first appends ``pid workload variant case`` to the
+    file ``log`` (pool workers append to the same file)."""
+    def record(self, variant, case):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {self.name} {variant.value} "
+                     f"{case.label}\n")
+        return impl(self, variant, case)
+    return record
+
 
 @pytest.fixture(scope="module")
 def cold_audit(tmp_path_factory):
     """One cold two-worker audit into a fresh cache directory:
-    ``(cache dir, results, graph stats meta)``."""
-    directory = tmp_path_factory.mktemp("audit") / "cache"
+    ``(cache dir, results, graph stats meta, stats log)``.  The stats
+    memo starts empty and every computed analytic-stats triple is
+    logged with the process that computed it."""
+    root = tmp_path_factory.mktemp("audit")
+    directory, log = root / "cache", root / "stats.log"
+    log.touch()
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("REPRO_CACHE_DIR", str(directory))
         mp.delenv("REPRO_CACHE", raising=False)
         mp.delenv(faults.ENV_VAR, raising=False)
         faults.reset_fault_state()
+        _fresh_stats_memo(mp)
+        for w in all_workloads():
+            impl = type(w).analytic_stats.__wrapped__
+            mp.setattr(type(w), "analytic_stats",
+                       base_mod._memoize_stats(_recording(impl, log)))
         previous = set_default_cache(None)
         try:
             reset_stage_timings()
@@ -260,7 +310,7 @@ def cold_audit(tmp_path_factory):
             meta = dict(stage_meta()["graph"])
         finally:
             set_default_cache(previous)
-    return directory, results, meta
+    return directory, results, meta, log.read_text().splitlines()
 
 
 @pytest.fixture
@@ -304,22 +354,38 @@ def _addresses(graph):
 
 class TestObservationGraphDemand:
     def test_cold_audit_runs_every_node(self, cold_audit):
-        _, results, meta = cold_audit
+        _, results, meta, _ = cold_audit
         assert _evidence_digest(results) == EVIDENCE_SHA256
-        assert meta["nodes"] == 27
+        assert meta["nodes"] == 37
         assert meta["cached_nodes"] == 0 and meta["skipped_nodes"] == 0
+
+    def test_cold_audit_computes_each_workloads_stats_once(self,
+                                                           cold_audit):
+        lines = cold_audit[3]
+        triples = [line.split(" ", 1)[1] for line in lines]
+        assert len(triples) == len(set(triples))
+        pids: dict[str, set[str]] = {}
+        for line in lines:
+            pid, name, _ = line.split(" ", 2)
+            pids.setdefault(name, set()).add(pid)
+        assert sorted(pids) == sorted(w.name for w in all_workloads())
+        assert all(len(p) == 1 for p in pids.values()), pids
+        assert os.getpid() not in {int(p) for ps in pids.values()
+                                   for p in ps}
 
     def test_cold_audit_writes_every_declared_address(self, cold_audit,
                                                       audit_cache):
         cache = audit_cache()
         addresses = _addresses(build_observations_graph())
-        # 9 verdicts and 9 Table 6 audits, each at its own address;
-        # dataset-gen products are side effects and declare none
+        # 9 verdicts, 9 Table 6 audits and 10 stats tables, each at its
+        # own address; dataset-gen products are side effects and
+        # declare none
         assert sorted(addresses) == sorted(
             [f"observation:{i:02d}" for i in range(1, 10)]
             + [f"accuracy:{w.name}" for w in all_workloads()
-               if w.floating_point])
-        assert len(set(addresses.values())) == 18
+               if w.floating_point]
+            + [f"stats:{w.name}" for w in all_workloads()])
+        assert len(set(addresses.values())) == 28
         for key, (kind, ckey) in addresses.items():
             assert cache._entry_path(kind, ckey).is_file(), key
 
@@ -332,7 +398,7 @@ class TestObservationGraphDemand:
         results = verify_all(n_jobs=2)
         assert _evidence_digest(results) == EVIDENCE_SHA256
         meta = stage_meta()["graph"]
-        assert meta["cached_nodes"] == 9 and meta["skipped_nodes"] == 18
+        assert meta["cached_nodes"] == 9 and meta["skipped_nodes"] == 28
         assert meta["overlap_ratio"] is None
         assert cache.stats.disk_hits == 9 and cache.stats.misses == 0
 
@@ -345,11 +411,28 @@ class TestObservationGraphDemand:
         results = verify_all(n_jobs=2)
         assert _evidence_digest(results) == EVIDENCE_SHA256
         meta = stage_meta()["graph"]
-        # 8 verdicts + 9 accuracy audits served; the 9 dataset nodes
-        # were never demanded; only observation 7 executed
-        assert meta["cached_nodes"] == 17 and meta["skipped_nodes"] == 9
+        # 8 verdicts + 9 accuracy audits + 10 stats tables served; the
+        # 9 dataset nodes were never demanded; only observation 7 ran
+        assert meta["cached_nodes"] == 27 and meta["skipped_nodes"] == 9
         assert cache._entry_path("observation",
                                  observation_key(6)).is_file()
+
+    def test_missed_verdicts_replay_the_stats_tables(
+            self, cold_audit, audit_cache, monkeypatch, tmp_path):
+        copy = _linked_copy(cold_audit[0], tmp_path / "cache")
+        cache = audit_cache(copy)
+        for i in range(9):
+            os.unlink(cache._entry_path("observation", observation_key(i)))
+        _forbid_datasets(monkeypatch)
+        _fresh_stats_memo(monkeypatch)
+        for w in all_workloads():
+            monkeypatch.setattr(type(w), "analytic_stats",
+                                base_mod._memoize_stats(_no_stats))
+        results = verify_all(n_jobs=2)
+        assert _evidence_digest(results) == EVIDENCE_SHA256
+        meta = stage_meta()["graph"]
+        # the 9 verdicts ran; 10 stats tables + 9 audits were served
+        assert meta["cached_nodes"] == 19 and meta["skipped_nodes"] == 9
 
     def test_cache_disabled_runs_every_node(self, audit_cache, monkeypatch):
         audit_cache()
@@ -360,56 +443,82 @@ class TestObservationGraphDemand:
         graph.extend([replace(n, fn=_record, args=(n.key,))
                       for n in build_observations_graph()])
         results, stats = _run(graph)
-        assert len(results) == len(_CALLS) == 27
+        assert len(results) == len(_CALLS) == 37
         assert stats.cached_nodes == 0 and stats.skipped_nodes == 0
 
 
-def _corrupting_plan(graph, rate=0.2):
-    """A ``cache.read_corrupt`` plan whose keyed draws hit the O7 verdict,
-    at least one other verdict, and exactly one cheap Table 6 entry.
+def _corrupting_plan(graph, wanted, rate=0.2):
+    """A ``cache.read_corrupt`` plan and the entries it corrupts:
+    ``(spec, {"observation": [...], "accuracy": [...], "stats": [...]})``
+    holding the node keys per kind, for the first seed whose corrupted
+    sets satisfy ``wanted``.
 
     Keyed draws are a pure hash of ``(seed, site, entry key)``, so the
-    set of entries a plan corrupts is computable up front; the seed is
-    searched so the plan exercises both recompute paths (a verdict alone,
-    and a verdict through its demanded accuracy and dataset inputs)
-    without recomputing the expensive sparse audits.
+    set of entries a plan corrupts is computable up front, and a seed can
+    be searched that exercises the wanted recompute paths without
+    recomputing the expensive sparse audits.
     """
-    verdicts = {n.key: n.cache[1] for n in graph
-                if n.key.startswith("observation:")}
-    audits = {n.key.split(":", 1)[1]: n.cache[1] for n in graph
-              if n.key.startswith("accuracy:")}
     for seed in range(5000):
-        def hit(ckey):
-            return faults.plan._keyed_unit(seed, "cache.read_corrupt",
-                                           ckey) < rate
-        bad_verdicts = sorted(k for k, c in verdicts.items() if hit(c))
-        bad_audits = sorted(w for w, c in audits.items() if hit(c))
-        if "observation:07" in bad_verdicts and len(bad_verdicts) >= 2 \
-                and len(bad_audits) == 1 and bad_audits[0] in CHEAP_AUDITS:
-            return (f"cache.read_corrupt={rate},seed={seed}",
-                    bad_verdicts, bad_audits[0])
+        bad: dict[str, list[str]] = {"observation": [], "accuracy": [],
+                                     "stats": []}
+        for node in graph:
+            if node.cache is not None and faults.plan._keyed_unit(
+                    seed, "cache.read_corrupt", node.cache[1]) < rate:
+                bad[node.key.split(":", 1)[0]].append(node.key)
+        if wanted(bad):
+            return f"cache.read_corrupt={rate},seed={seed}", bad
     raise AssertionError("no seed corrupts the wanted entries")
 
 
 class TestCorruptWarmAudit:
     def test_corrupt_entries_recompute_bit_identically(
             self, cold_audit, audit_cache, tmp_path):
+        """A verdict alone, and a verdict through its demanded accuracy
+        and dataset inputs."""
         copy = _linked_copy(cold_audit[0], tmp_path / "cache")
         audit_cache(copy)
         graph = build_observations_graph()
-        spec, bad_verdicts, bad_audit = _corrupting_plan(graph)
+        spec, bad = _corrupting_plan(graph, lambda bad: (
+            "observation:07" in bad["observation"]
+            and len(bad["observation"]) >= 2
+            and [k.split(":")[1] for k in bad["accuracy"]] in
+            [[w] for w in CHEAP_AUDITS]))
         faults.install_plan(spec)
         results = verify_all(n_jobs=2)
         assert results == cold_audit[1]  # verdicts AND evidence
         assert _evidence_digest(results) == EVIDENCE_SHA256
         meta = stage_meta()["graph"]
-        # executed: the corrupt verdicts plus the corrupt audit and its
-        # dataset; served: the other verdicts and the other 8 audits
-        executed = len(bad_verdicts) + 2
-        assert meta["cached_nodes"] == (9 - len(bad_verdicts)) + 8
-        assert meta["skipped_nodes"] == 27 - executed - meta["cached_nodes"]
+        # executed: the corrupt verdicts and stats tables, plus the
+        # corrupt audit and its dataset; served: the other verdicts,
+        # the other 8 audits and the other stats tables
+        n_verdicts, n_stats = len(bad["observation"]), len(bad["stats"])
+        assert meta["cached_nodes"] == (9 - n_verdicts) + 8 + (10 - n_stats)
+        assert meta["skipped_nodes"] == 8  # the other datasets
         quarantined = {p.name for p in (copy / "_quarantine").iterdir()}
         addresses = _addresses(graph)
-        for key in bad_verdicts + [f"accuracy:{bad_audit}"]:
+        for key in bad["observation"] + bad["accuracy"]:
             kind, ckey = addresses[key]
             assert f"{kind}__{ckey}.quar" in quarantined, key
+
+    def test_corrupt_stats_table_recomputes_bit_identically(
+            self, cold_audit, audit_cache, monkeypatch, tmp_path):
+        copy = _linked_copy(cold_audit[0], tmp_path / "cache")
+        audit_cache(copy)
+        graph = build_observations_graph()
+        spec, bad = _corrupting_plan(graph, lambda bad: (
+            bad["observation"] and bad["stats"] and not bad["accuracy"]))
+        reader = ResultCache(copy)
+        tables = {}
+        for key in bad["stats"]:
+            found, tables[key] = reader.peek(*graph.node(key).cache)
+            assert found, key
+        _fresh_stats_memo(monkeypatch)
+        faults.install_plan(spec)
+        results = GraphScheduler(2).run(graph)
+        for i, result in enumerate(cold_audit[1]):
+            assert results[f"observation:{i + 1:02d}"] == result
+        for key, table in tables.items():
+            assert pickle.dumps(results[key]) == pickle.dumps(table), key
+        quarantined = {p.name for p in (copy / "_quarantine").iterdir()}
+        for key in bad["stats"]:
+            assert f"stats__{graph.node(key).cache[1]}.quar" in quarantined

@@ -63,12 +63,16 @@ class TestObservationsGraphShape:
         for k in audits:
             name = k.split(":", 1)[1]
             assert g.node(k).deps == (f"dataset:{name}",)
-        # observation 7 (Table 6 fidelity) consumes every accuracy audit;
-        # the other eight run free
+        stats = [k for k in kinds if k.startswith("stats:")]
+        assert len(stats) == 10  # every workload, BFS included
+        assert all(g.node(k).deps == () for k in stats)
+        # every observation reads the shared stats tables; observation 7
+        # (Table 6 fidelity) also consumes every accuracy audit
         o7 = g.node("observation:07")
-        assert sorted(o7.deps) == sorted(audits)
+        assert sorted(o7.deps) == sorted(stats + audits)
         for i in (1, 2, 3, 4, 5, 6, 8, 9):
-            assert g.node(f"observation:{i:02d}").deps == ()
+            assert sorted(g.node(f"observation:{i:02d}").deps) == \
+                sorted(stats)
         g.order()  # and the whole thing is a valid DAG
 
     def test_accuracy_node_matches_direct_call(self):

@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from repro.analysis.observations import _node_accuracy, _node_dataset
+from repro.analysis.observations import (_node_accuracy, _node_dataset,
+                                         _node_stats, _run_observation)
 from repro.graph import (
     ConcurrencyPolicy,
     GraphScheduler,
@@ -138,6 +139,19 @@ class TestPolicy:
             entry = policy.facts["purity"][function_fid(fn)]
             assert entry["pure"] is True and not entry.get("ambient")
             assert policy.concurrent(node)
+
+    @pytest.mark.parametrize("fn", [_node_stats, _run_observation])
+    def test_shipped_facts_let_stats_nodes_fan_out(self, fn):
+        """An exclusive verdict would run each stats table (and every
+        observation that installs them) alone in the parent: the
+        computation stays single but loses all overlap."""
+        policy = ConcurrencyPolicy()
+        assert policy.facts is not None, "determinism_facts.json missing"
+        entry = policy.facts["purity"][function_fid(fn)]
+        assert entry["pure"] is True and not entry.get("ambient")
+        node = TaskNode(key="stats:gemm", kind="analytic-stats", fn=fn,
+                        args=("gemm",))
+        assert policy.concurrent(node)
 
 
 class TestObservability:

@@ -70,6 +70,16 @@ class TestGroupStages:
                           "model-resolve": 0.25, "dataset-gen": 4.0,
                           "misc": 0.5}
 
+    def test_graph_node_kinds_name_their_group(self):
+        # a graph node's self time sits at its ``graph/<kind>`` stage
+        stages = {
+            f"graph/{kind}": {"seconds": 1.0, "calls": 1}
+            for kind in ("dataset-gen", "accuracy-audit",
+                         "observation-audit", "analytic-stats")}
+        groups = _group_stages(stages)
+        assert groups == {"dataset-gen": 1.0, "accuracy-audit": 1.0,
+                          "observation-audit": 1.0, "analytic-stats": 1.0}
+
     def test_self_seconds_preferred_and_other_is_wall_remainder(self):
         stages = {
             "analysis.verify_all":
