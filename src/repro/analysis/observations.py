@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..datasets.suitesparse import generate_matrix
 from ..gpu.counters import KernelStats
 from ..gpu.device import Device
 from ..graph import GraphScheduler, TaskGraph, TaskNode, graph_enabled
@@ -300,6 +301,45 @@ def _node_stats(name: str) -> dict[str, KernelStats]:
         "stats", stats_key(w), lambda: stats_table(w))
 
 
+def _node_matrix(name: str, scale: float, seed: int) -> str:
+    """Matrix node: generate one Table 4 matrix into the generator cache.
+
+    The SpMV and SpGEMM stats tables and the SpMV dataset read the same
+    full-scale matrices; without this node each, running side by side in
+    its own worker, would generate its own copy before any found
+    another's cache entry.  Like a dataset node, the node's value is
+    just the name and its product is the cache entry."""
+    generate_matrix(name, scale=scale, seed=seed)
+    return name
+
+
+def _matrix_nodes(workloads: list[Workload]
+                  ) -> tuple[list[TaskNode], dict[str, tuple[str, ...]]]:
+    """One ``matrix:<name>`` node per Table 4 matrix the analytic stats
+    read, with the exact :meth:`~repro.kernels.base.Workload.matrix_args`
+    its readers request, and each reading ``stats:``/``dataset:`` node's
+    matrix dependencies."""
+    nodes: dict[tuple[str, float, int], TaskNode] = {}
+    reads: dict[str, list[str]] = {}
+    for w in workloads:
+        for case in w.cases():
+            args = w.matrix_args(case)
+            if args is None:
+                continue
+            if args not in nodes:
+                nodes[args] = TaskNode(key=f"matrix:{args[0]}",
+                                       kind="dataset-gen", fn=_node_matrix,
+                                       args=args, label=f"matrix {args[0]}")
+            reads.setdefault(f"stats:{w.name}", []).append(nodes[args].key)
+    for w in workloads:
+        args = w.matrix_args(w.exec_case(w.representative_case()),
+                             AUDIT_SEED)
+        if w.floating_point and args in nodes:
+            reads.setdefault(f"dataset:{w.name}", []).append(nodes[args].key)
+    return list(nodes.values()), {reader: tuple(keys)
+                                  for reader, keys in reads.items()}
+
+
 def _node_dataset(name: str) -> str:
     """Dataset-gen node: warm one workload's generator cache entry.
 
@@ -331,11 +371,14 @@ def build_observations_graph(workloads: list[Workload] | None = None,
     For the default suite the audit over-decomposes: per floating-point
     workload a ``dataset:<name>`` node feeds an ``accuracy:<name>``
     node, and per workload a ``stats:<name>`` node computes its
-    analytic-stats table.  The nine ``observation:NN`` nodes depend on
-    every stats node, and O7 (the functional accuracy study) also on
+    analytic-stats table.  One ``matrix:<name>`` node per Table 4
+    matrix generates it for every stats and dataset node that reads it
+    (:func:`_matrix_nodes`).  The nine ``observation:NN`` nodes depend
+    on every stats node, and O7 (the functional accuracy study) also on
     the accuracy nodes.  Dataset generation for workload B therefore
     overlaps the accuracy audit of workload A *and* the stats tables of
-    both, and each table is computed once instead of once per worker.
+    both, and each table and matrix is computed once instead of once
+    per worker.
 
     Explicit workload/device lists skip the warm-up spine (their
     identity is not reliably keyable for the shared caches) and emit
@@ -346,8 +389,9 @@ def build_observations_graph(workloads: list[Workload] | None = None,
     (:func:`observation_key`,
     :func:`~repro.analysis.accuracy.accuracy_key`, :func:`stats_key`),
     so the scheduler's demand pass replays a warm audit from its nine
-    verdicts; a ``dataset:`` node's product is a side effect with no
-    address, and it runs only when the accuracy audit below it misses.
+    verdicts; a ``dataset:`` or ``matrix:`` node's product is a side
+    effect with no address, and it runs only when a node below it
+    misses.
     """
     g = TaskGraph()
     default_suite = workloads is None and devices is None
@@ -355,15 +399,19 @@ def build_observations_graph(workloads: list[Workload] | None = None,
     accuracy_deps: tuple[str, ...] = ()
     if default_suite:
         h200 = Device("H200")
+        matrices, reads = _matrix_nodes(all_workloads())
+        g.extend(matrices)
         for w in all_workloads():
             g.add(TaskNode(key=f"stats:{w.name}", kind="analytic-stats",
                            fn=_node_stats, args=(w.name,),
+                           deps=reads.get(f"stats:{w.name}", ()),
                            label=f"stats {w.name}",
                            cache=("stats", stats_key(w))))
             if not w.floating_point:
                 continue
             g.add(TaskNode(key=f"dataset:{w.name}", kind="dataset-gen",
                            fn=_node_dataset, args=(w.name,),
+                           deps=reads.get(f"dataset:{w.name}", ()),
                            label=f"dataset {w.name}"))
             g.add(TaskNode(key=f"accuracy:{w.name}", kind="accuracy-audit",
                            fn=_node_accuracy, args=(w.name,),

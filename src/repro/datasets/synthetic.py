@@ -21,24 +21,24 @@ _MASK = (1 << _MOD_BITS) - 1
 #: streams used by the vectorized leapfrog
 _LANES = 1024
 
-#: per-lane affine constants (a^i mod 2^48, c-sum_i) for i = 1.._LANES,
-#: computed once per process — they depend only on the LCG constants, so
-#: every generator shares them and seeding needs no Python-level loop
-_LANE_AFFINE: tuple[np.ndarray, np.ndarray] | None = None
-
 
 def _lane_affine() -> tuple[np.ndarray, np.ndarray]:
-    global _LANE_AFFINE
-    if _LANE_AFFINE is None:
-        a_pows = np.empty(_LANES, dtype=np.uint64)
-        c_sums = np.empty(_LANES, dtype=np.uint64)
-        a_i, c_i = 1, 0
-        for i in range(_LANES):
-            a_i, c_i = (_A * a_i) & _MASK, (_A * c_i + _C) & _MASK
-            a_pows[i] = a_i
-            c_sums[i] = c_i
-        _LANE_AFFINE = (a_pows, c_sums)
-    return _LANE_AFFINE
+    """Per-lane affine constants ``(a^i mod 2^48, c-sum_i)`` for
+    ``i = 1.._LANES``."""
+    a_pows = np.empty(_LANES, dtype=np.uint64)
+    c_sums = np.empty(_LANES, dtype=np.uint64)
+    a_i, c_i = 1, 0
+    for i in range(_LANES):
+        a_i, c_i = (_A * a_i) & _MASK, (_A * c_i + _C) & _MASK
+        a_pows[i] = a_i
+        c_sums[i] = c_i
+    return a_pows, c_sums
+
+
+#: the per-lane table, built once at import — it depends only on the LCG
+#: constants, so every generator shares it and seeding needs no
+#: Python-level loop
+_LANE_AFFINE = _lane_affine()
 
 
 class Lcg:
@@ -55,7 +55,7 @@ class Lcg:
         self.state = (int(seed) ^ _A) & _MASK
         # leapfrog constants: A_L = a^L, C_L = c * (a^{L-1} + ... + 1) —
         # the last row of the shared per-lane affine table
-        a_pows, c_sums = _lane_affine()
+        a_pows, c_sums = _LANE_AFFINE
         self._a_lane = int(a_pows[-1])
         self._c_lane = int(c_sums[-1])
 
@@ -71,7 +71,7 @@ class Lcg:
         # harmless — only the low 48 bits of the product survive the mask,
         # and those are exact, so this matches the scalar loop bit-for-bit
         lanes = min(n, _LANES)
-        a_pows, c_sums = _lane_affine()
+        a_pows, c_sums = _LANE_AFFINE
         with np.errstate(over="ignore"):
             first = (a_pows[:lanes] * np.uint64(self.state)
                      + c_sums[:lanes]) & np.uint64(_MASK)

@@ -220,6 +220,14 @@ class Workload(abc.ABC):
         ``case``.  Defaults to the case itself."""
         return case
 
+    def matrix_args(self, case: WorkloadCase, seed: int | None = None
+                    ) -> tuple[str, float, int] | None:
+        """The :func:`~repro.datasets.generate_matrix` arguments
+        ``(name, scale, seed)`` behind ``case``: those ``prepare(case,
+        seed)`` reads, or with ``seed=None`` those ``analytic_stats``
+        reads.  ``None`` for workloads without a Table 4 matrix."""
+        return None
+
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def prepare(self, case: WorkloadCase, seed: int = 1325) -> dict:

@@ -57,10 +57,11 @@ BASE_REUSE = 0.15
 
 
 @functools.lru_cache(maxsize=32)
-def _analytic_matrix(name: str, scale: float) -> tuple[CsrMatrix, MbsrMatrix]:
+def _analytic_matrix(name: str, scale: float,
+                     seed: int) -> tuple[CsrMatrix, MbsrMatrix]:
     """Cache the (deterministic) analytic matrix and its mBSR conversion so
     the four variants of a case do not regenerate them."""
-    a = generate_matrix(name, scale=scale)
+    a = generate_matrix(name, scale=scale, seed=seed)
     return a, MbsrMatrix.from_csr(a)
 
 
@@ -103,9 +104,17 @@ class SpgemmWorkload(Workload):
         return [WorkloadCase(label=m.name, params={"matrix": m.name})
                 for m in SPMV_MATRICES]
 
+    def matrix_args(self, case: WorkloadCase, seed: int | None = None
+                    ) -> tuple[str, float, int]:
+        # analytic stats read the matrix at ``scale``, execution at
+        # ``exec_scale``
+        if seed is None:
+            return case["matrix"], self.scale, 1325
+        return case["matrix"], self.exec_scale, seed
+
     # ------------------------------------------------------------------
     def prepare(self, case: WorkloadCase, seed: int = 1325) -> dict:
-        a = generate_matrix(case["matrix"], scale=self.exec_scale, seed=seed)
+        a = generate_matrix(*self.matrix_args(case, seed))
         return {"a": a, "mbsr": MbsrMatrix.from_csr(a)}
 
     def reference(self, data: dict) -> CsrMatrix:
@@ -267,7 +276,7 @@ class SpgemmWorkload(Workload):
     # ------------------------------------------------------------------
     def analytic_stats(self, variant: Variant,
                        case: WorkloadCase) -> KernelStats:
-        a, m = _analytic_matrix(case["matrix"], self.scale)
+        a, m = _analytic_matrix(*self.matrix_args(case))
         return self._stats(variant, a, m)
 
     def _stats(self, variant: Variant, a: CsrMatrix,

@@ -48,10 +48,11 @@ MLP_CCE = 1.0
 
 
 @functools.lru_cache(maxsize=32)
-def _analytic_matrix(name: str, scale: float) -> tuple[CsrMatrix, DaspMatrix]:
+def _analytic_matrix(name: str, scale: float,
+                     seed: int) -> tuple[CsrMatrix, DaspMatrix]:
     """Cache the (deterministic) analytic matrix and its DASP conversion so
     the four variants of a case do not regenerate them."""
-    a = generate_matrix(name, scale=scale)
+    a = generate_matrix(name, scale=scale, seed=seed)
     return a, DaspMatrix.from_csr(a)
 
 
@@ -97,9 +98,14 @@ class SpmvWorkload(Workload):
         return [WorkloadCase(label=m.name, params={"matrix": m.name})
                 for m in SPMV_MATRICES]
 
+    def matrix_args(self, case: WorkloadCase, seed: int | None = None
+                    ) -> tuple[str, float, int]:
+        # one matrix scale for functional execution and analytic stats
+        return case["matrix"], self.scale, 1325 if seed is None else seed
+
     # ------------------------------------------------------------------
     def prepare(self, case: WorkloadCase, seed: int = 1325) -> dict:
-        a = generate_matrix(case["matrix"], scale=self.scale, seed=seed)
+        a = generate_matrix(*self.matrix_args(case, seed))
         rng = Lcg(seed + 17)
         return {"a": a, "dasp": DaspMatrix.from_csr(a),
                 "x": rng.uniform(a.n_cols)}
@@ -161,7 +167,7 @@ class SpmvWorkload(Workload):
     # ------------------------------------------------------------------
     def analytic_stats(self, variant: Variant,
                        case: WorkloadCase) -> KernelStats:
-        a, d = _analytic_matrix(case["matrix"], self.scale)
+        a, d = _analytic_matrix(*self.matrix_args(case))
         return self._stats(variant, a, d)
 
     def _stats(self, variant: Variant, a: CsrMatrix,

@@ -52,7 +52,14 @@ class CsrMatrix:
     def from_coo(cls, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
                  shape: tuple[int, int], *, sum_duplicates: bool = True
                  ) -> "CsrMatrix":
-        """Build from COO triplets; duplicates are summed by default."""
+        """Build from COO triplets; duplicates are summed by default.
+
+        One row-major key ``row * n_cols + col`` (so ``n_rows * n_cols``
+        must stay below ``2**63``) drives the whole build: the sorted
+        check, one stable ``argsort`` when the input is not already
+        row-major, the duplicate runs and the row pointers.  Duplicates
+        are summed first-to-last in input order with ``np.add.at`` into
+        a zeroed buffer, so a lone ``-0.0`` comes out as ``+0.0``."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
@@ -63,19 +70,24 @@ class CsrMatrix:
             raise ValueError("row index out of range")
         if len(cols) and (cols.min() < 0 or cols.max() >= n_cols):
             raise ValueError("column index out of range")
-        if not _row_major_sorted(rows, cols):
-            order = np.lexsort((cols, rows))
-            rows, cols, vals = rows[order], cols[order], vals[order]
-        if sum_duplicates and len(rows):
-            keys = rows * np.int64(n_cols) + cols
-            uniq, inverse = np.unique(keys, return_inverse=True)
-            summed = np.zeros(len(uniq))
-            np.add.at(summed, inverse, vals)
-            rows = (uniq // n_cols).astype(np.int64)
-            cols = (uniq % n_cols).astype(np.int64)
-            vals = summed
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+        key = rows * np.int64(n_cols) + cols
+        if not np.all(key[1:] >= key[:-1]):
+            order = np.argsort(key, kind="stable")
+            # one gather at a time: the unsorted key is freed first
+            key = key[order]
+            cols = cols[order]
+            vals = vals[order]
+        if sum_duplicates and len(key):
+            first = np.empty(len(key), dtype=bool)
+            first[0] = True
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            group = np.cumsum(first)
+            group -= 1
+            summed = np.zeros(int(group[-1]) + 1)
+            np.add.at(summed, group, vals)
+            key, cols, vals = key[first], cols[first], summed
+        indptr = np.searchsorted(
+            key, np.arange(n_rows + 1, dtype=np.int64) * np.int64(n_cols))
         return cls(indptr, cols, vals, shape)
 
     @classmethod
@@ -115,7 +127,8 @@ class CsrMatrix:
         return dense
 
     def transpose(self) -> "CsrMatrix":
-        """CSR of A^T via a counting sort on column indices."""
+        """CSR of A^T: the entries re-keyed column-major and sorted once
+        by :meth:`from_coo`."""
         return CsrMatrix.from_coo(self.indices, self.row_of_entry(),
                                   self.data, (self.n_cols, self.n_rows),
                                   sum_duplicates=False)
@@ -269,11 +282,3 @@ class CsrMatrix:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CsrMatrix(shape={self.shape}, nnz={self.nnz})")
 
-
-def _row_major_sorted(rows: np.ndarray, cols: np.ndarray) -> bool:
-    """Are the triplets already in ``lexsort((cols, rows))`` order?  Ties
-    may repeat: the stable sort would keep them in place."""
-    if len(rows) < 2:
-        return True
-    drow = np.diff(rows)
-    return bool(np.all((drow > 0) | ((drow == 0) & (np.diff(cols) >= 0))))

@@ -9,14 +9,18 @@ graph (one shared cold audit populates the cache for the latter), plus
 the two ways it must degrade to "run everything": ``REPRO_CACHE=0`` and
 corrupt entries.  The observation graph's ``stats:`` nodes get the same
 treatment: each workload's analytic stats are computed in one process,
-and a verdict that misses replays them from the persisted tables.
+and a verdict that misses replays them from the persisted tables.  Its
+``matrix:`` nodes generate each full-scale Table 4 matrix once, in one
+pool worker, for every stats and dataset node that reads it.
 """
 
+import functools
 import hashlib
 import json
 import os
 import pickle
 import shutil
+import sys
 from collections import OrderedDict
 from dataclasses import replace
 
@@ -28,16 +32,20 @@ from repro.analysis import accuracy as acc_mod
 from repro.analysis import observations as obs_mod
 from repro.analysis.accuracy import AUDIT_SEED, accuracy_key
 from repro.analysis.observations import (
+    _node_matrix,
     build_observations_graph,
     observation_key,
     stats_key,
     verify_all,
 )
+from repro.datasets import suitesparse
 from repro.gpu import Device
 from repro.graph import GraphScheduler, TaskGraph, TaskNode
 from repro.graph import scheduler as sched_mod
 from repro.kernels import SpmvWorkload, all_workloads, get_workload
 from repro.kernels import base as base_mod
+from repro.kernels import spgemm as spgemm_mod
+from repro.kernels import spmv as spmv_mod
 from repro.perf import executor as executor_mod
 from repro.perf.cache import (
     ResultCache,
@@ -284,15 +292,60 @@ def _recording(impl, log):
     return record
 
 
+#: node callables of the observation graph -> their node-key prefix
+_NODE_PREFIX = {fn.__code__: prefix for fn, prefix in (
+    (_node_matrix, "matrix"), (obs_mod._node_stats, "stats"),
+    (obs_mod._node_dataset, "dataset"), (obs_mod._node_accuracy,
+                                         "accuracy"))}
+
+
+def _calling_node():
+    """The key of the graph node whose callable is on the stack, or
+    ``-`` outside one."""
+    frame = sys._getframe()
+    while frame is not None:
+        prefix = _NODE_PREFIX.get(frame.f_code)
+        if prefix is not None:
+            return f"{prefix}:{frame.f_locals['name']}"
+        frame = frame.f_back
+    return "-"
+
+
+def _recording_matrices(mp, log):
+    """Append ``event pid node name scale seed`` to the file ``log`` for
+    every Table 4 matrix the sparse workloads or the matrix nodes ask
+    for (event ``read``) and every one actually generated (``gen``)."""
+    def recording(event, impl):
+        def record(name, scale=1.0, seed=1325):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{event} {os.getpid()} {_calling_node()} {name} "
+                         f"{float(scale)!r} {int(seed)}\n")
+            return impl(name, scale, seed)
+        return record
+
+    mp.setattr(suitesparse, "_generate_matrix_uncached", recording(
+        "gen", suitesparse._generate_matrix_uncached))
+    for mod in (spmv_mod, spgemm_mod, obs_mod):
+        mp.setattr(mod, "generate_matrix",
+                   recording("read", suitesparse.generate_matrix))
+    for mod in (spmv_mod, spgemm_mod):
+        mp.setattr(mod, "_analytic_matrix", functools.lru_cache(32)(
+            mod._analytic_matrix.__wrapped__))
+
+
 @pytest.fixture(scope="module")
 def cold_audit(tmp_path_factory):
     """One cold two-worker audit into a fresh cache directory:
-    ``(cache dir, results, graph stats meta, stats log)``.  The stats
-    memo starts empty and every computed analytic-stats triple is
-    logged with the process that computed it."""
+    ``(cache dir, results, graph stats meta, stats log, matrix log)``.
+    The stats memo starts empty and every computed analytic-stats triple
+    is logged with the process that computed it; so is every Table 4
+    matrix read and generated, with no matrix memoized in the sparse
+    workloads."""
     root = tmp_path_factory.mktemp("audit")
     directory, log = root / "cache", root / "stats.log"
+    matrix_log = root / "matrix.log"
     log.touch()
+    matrix_log.touch()
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("REPRO_CACHE_DIR", str(directory))
         mp.delenv("REPRO_CACHE", raising=False)
@@ -303,6 +356,7 @@ def cold_audit(tmp_path_factory):
             impl = type(w).analytic_stats.__wrapped__
             mp.setattr(type(w), "analytic_stats",
                        base_mod._memoize_stats(_recording(impl, log)))
+        _recording_matrices(mp, matrix_log)
         previous = set_default_cache(None)
         try:
             reset_stage_timings()
@@ -310,7 +364,8 @@ def cold_audit(tmp_path_factory):
             meta = dict(stage_meta()["graph"])
         finally:
             set_default_cache(previous)
-    return directory, results, meta, log.read_text().splitlines()
+    return (directory, results, meta, log.read_text().splitlines(),
+            matrix_log.read_text().splitlines())
 
 
 @pytest.fixture
@@ -348,15 +403,26 @@ def _forbid_datasets(monkeypatch):
         monkeypatch.setattr(type(w), "prepare", _no_dataset)
 
 
+def _upstream(graph, key):
+    """``key`` and every node it transitively depends on."""
+    seen, todo = set(), [key]
+    while todo:
+        node = todo.pop()
+        if node not in seen:
+            seen.add(node)
+            todo.extend(graph.node(node).deps)
+    return seen
+
+
 def _addresses(graph):
     return {n.key: n.cache for n in graph if n.cache is not None}
 
 
 class TestObservationGraphDemand:
     def test_cold_audit_runs_every_node(self, cold_audit):
-        _, results, meta, _ = cold_audit
+        _, results, meta, _, _ = cold_audit
         assert _evidence_digest(results) == EVIDENCE_SHA256
-        assert meta["nodes"] == 37
+        assert meta["nodes"] == 42
         assert meta["cached_nodes"] == 0 and meta["skipped_nodes"] == 0
 
     def test_cold_audit_computes_each_workloads_stats_once(self,
@@ -373,12 +439,40 @@ class TestObservationGraphDemand:
         assert os.getpid() not in {int(p) for ps in pids.values()
                                    for p in ps}
 
+    def test_cold_audit_generates_each_matrix_once(self, cold_audit):
+        """Each full-scale Table 4 matrix is generated once, by its
+        ``matrix:`` node, in a pool worker, and every node that reads it
+        runs downstream of that node (so it finds the cache entry)."""
+        events = [line.split(" ", 3) for line in cold_audit[4]]
+        gens = [(pid, node, request)
+                for event, pid, node, request in events if event == "gen"]
+        requests = [request for _, _, request in gens]
+        assert len(requests) == len(set(requests)), gens
+        full_scale = {f"{name} {scale!r} {seed}"
+                      for w in map(get_workload, ("spmv", "spgemm"))
+                      for name, scale, seed in map(w.matrix_args,
+                                                   w.cases())}
+        assert len(full_scale) == 5
+        assert full_scale <= set(requests), gens
+        for pid, node, request in gens:
+            if request in full_scale:
+                assert node == f"matrix:{request.split()[0]}", request
+                assert int(pid) != os.getpid(), request
+        graph = build_observations_graph()
+        readers = {(node, request) for event, _, node, request in events
+                   if event == "read" and request in full_scale}
+        assert {node.split(":")[0] for node, _ in readers} >= {
+            "matrix", "stats", "dataset"}
+        for node, request in readers:
+            producer = f"matrix:{request.split()[0]}"
+            assert producer in _upstream(graph, node), (node, request)
+
     def test_cold_audit_writes_every_declared_address(self, cold_audit,
                                                       audit_cache):
         cache = audit_cache()
         addresses = _addresses(build_observations_graph())
         # 9 verdicts, 9 Table 6 audits and 10 stats tables, each at its
-        # own address; dataset-gen products are side effects and
+        # own address; dataset and matrix products are side effects and
         # declare none
         assert sorted(addresses) == sorted(
             [f"observation:{i:02d}" for i in range(1, 10)]
@@ -398,7 +492,7 @@ class TestObservationGraphDemand:
         results = verify_all(n_jobs=2)
         assert _evidence_digest(results) == EVIDENCE_SHA256
         meta = stage_meta()["graph"]
-        assert meta["cached_nodes"] == 9 and meta["skipped_nodes"] == 28
+        assert meta["cached_nodes"] == 9 and meta["skipped_nodes"] == 33
         assert meta["overlap_ratio"] is None
         assert cache.stats.disk_hits == 9 and cache.stats.misses == 0
 
@@ -412,8 +506,9 @@ class TestObservationGraphDemand:
         assert _evidence_digest(results) == EVIDENCE_SHA256
         meta = stage_meta()["graph"]
         # 8 verdicts + 9 accuracy audits + 10 stats tables served; the
-        # 9 dataset nodes were never demanded; only observation 7 ran
-        assert meta["cached_nodes"] == 27 and meta["skipped_nodes"] == 9
+        # 9 dataset and 5 matrix nodes were never demanded; only
+        # observation 7 ran
+        assert meta["cached_nodes"] == 27 and meta["skipped_nodes"] == 14
         assert cache._entry_path("observation",
                                  observation_key(6)).is_file()
 
@@ -431,8 +526,9 @@ class TestObservationGraphDemand:
         results = verify_all(n_jobs=2)
         assert _evidence_digest(results) == EVIDENCE_SHA256
         meta = stage_meta()["graph"]
-        # the 9 verdicts ran; 10 stats tables + 9 audits were served
-        assert meta["cached_nodes"] == 19 and meta["skipped_nodes"] == 9
+        # the 9 verdicts ran; 10 stats tables + 9 audits were served, so
+        # no dataset or matrix node was demanded
+        assert meta["cached_nodes"] == 19 and meta["skipped_nodes"] == 14
 
     def test_cache_disabled_runs_every_node(self, audit_cache, monkeypatch):
         audit_cache()
@@ -443,7 +539,7 @@ class TestObservationGraphDemand:
         graph.extend([replace(n, fn=_record, args=(n.key,))
                       for n in build_observations_graph()])
         results, stats = _run(graph)
-        assert len(results) == len(_CALLS) == 37
+        assert len(results) == len(_CALLS) == 42
         assert stats.cached_nodes == 0 and stats.skipped_nodes == 0
 
 
@@ -489,11 +585,14 @@ class TestCorruptWarmAudit:
         assert _evidence_digest(results) == EVIDENCE_SHA256
         meta = stage_meta()["graph"]
         # executed: the corrupt verdicts and stats tables, plus the
-        # corrupt audit and its dataset; served: the other verdicts,
-        # the other 8 audits and the other stats tables
+        # corrupt audit and its dataset, plus the matrices when a sparse
+        # stats table is corrupt; served: the other verdicts, the other
+        # 8 audits and the other stats tables
         n_verdicts, n_stats = len(bad["observation"]), len(bad["stats"])
         assert meta["cached_nodes"] == (9 - n_verdicts) + 8 + (10 - n_stats)
-        assert meta["skipped_nodes"] == 8  # the other datasets
+        sparse_stats = {"stats:spmv", "stats:spgemm"} & set(bad["stats"])
+        # the other datasets, and the matrices unless a sparse table ran
+        assert meta["skipped_nodes"] == 8 + (0 if sparse_stats else 5)
         quarantined = {p.name for p in (copy / "_quarantine").iterdir()}
         addresses = _addresses(graph)
         for key in bad["observation"] + bad["accuracy"]:

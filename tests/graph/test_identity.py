@@ -14,6 +14,7 @@ from repro.analysis.observations import (
     build_observations_graph,
     verify_all,
 )
+from repro.datasets import SPMV_MATRICES
 from repro.gpu import Device
 from repro.harness.runner import run_performance
 from repro.harness.sweep import sweep_sizes
@@ -65,7 +66,21 @@ class TestObservationsGraphShape:
             assert g.node(k).deps == (f"dataset:{name}",)
         stats = [k for k in kinds if k.startswith("stats:")]
         assert len(stats) == 10  # every workload, BFS included
-        assert all(g.node(k).deps == () for k in stats)
+        # one node per Table 4 matrix, requesting exactly the generator
+        # arguments the sparse stats read; the SpMV audit's full-scale
+        # dataset reads one of them too (SpGEMM's is down-scaled)
+        matrices = sorted(k for k in kinds if k.startswith("matrix:"))
+        assert matrices == sorted(f"matrix:{m.name}"
+                                  for m in SPMV_MATRICES)
+        for name in ("spmv", "spgemm"):
+            w = get_workload(name)
+            assert sorted(g.node(k).args for k in matrices) == sorted(
+                w.matrix_args(c) for c in w.cases())
+            assert sorted(g.node(f"stats:{name}").deps) == matrices
+        assert g.node("dataset:spmv").deps == ("matrix:raefsky3",)
+        for k in datasets + matrices + stats:
+            if k not in ("dataset:spmv", "stats:spmv", "stats:spgemm"):
+                assert g.node(k).deps == (), k
         # every observation reads the shared stats tables; observation 7
         # (Table 6 fidelity) also consumes every accuracy audit
         o7 = g.node("observation:07")

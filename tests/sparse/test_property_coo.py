@@ -1,6 +1,7 @@
-"""Property tests for ``CsrMatrix.from_coo``: skipping the sort for
-row-major input and counting rows with ``bincount`` must build the same
-arrays, bit for bit, as always sorting with ``lexsort``."""
+"""Property tests for ``CsrMatrix.from_coo``: one stable sort on the
+row-major key (skipped for row-major input), duplicates found from the
+sorted runs and row pointers searched in the sorted keys must build the
+same arrays, bit for bit, as always sorting with ``lexsort``."""
 
 import numpy as np
 import pytest
@@ -54,11 +55,32 @@ def triplets(draw):
     return rows, cols, vals, (n_rows, n_cols), order
 
 
+@st.composite
+def wide_triplets(draw):
+    """Like :func:`triplets`, on shapes whose key space
+    ``n_rows * n_cols`` exceeds ``2**31``: a 32-bit key would wrap.
+    Positions repeat from a small pool that favours the first and last
+    row and column."""
+    n_rows = draw(st.integers(1, 1 << 17))
+    n_cols = draw(st.integers((1 << 31) // n_rows + 1, 1 << 44))
+
+    def coord(n):
+        return st.one_of(st.just(0), st.just(n - 1), st.integers(0, n - 1))
+
+    pool = draw(st.lists(st.tuples(coord(n_rows), coord(n_cols)),
+                         min_size=1, max_size=6))
+    n = draw(st.integers(0, 30))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    rows, cols = zip(*picks) if n else ((), ())
+    vals = draw(st.lists(values, min_size=n, max_size=n))
+    return rows, cols, vals, (n_rows, n_cols), "wide"
+
+
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint8).tobytes()
 
 
-@given(triplets(), st.booleans())
+@given(st.one_of(triplets(), wide_triplets()), st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_from_coo_matches_the_lexsort_path(case, sum_duplicates):
     rows, cols, vals, shape, _ = case
@@ -73,14 +95,14 @@ def test_from_coo_matches_the_lexsort_path(case, sum_duplicates):
 
 def test_row_major_input_skips_the_sort(monkeypatch):
     def no_sort(*args, **kwargs):
-        raise AssertionError("lexsort called on row-major input")
+        raise AssertionError("argsort called on row-major input")
 
     dense = np.array([[0.0, 2.0, 0.0], [-0.0, 0.0, 3.0], [4.0, 5.0, 0.0]])
-    monkeypatch.setattr(np, "lexsort", no_sort)
+    monkeypatch.setattr(np, "argsort", no_sort)
     a = CsrMatrix.from_dense(dense)
     assert a.indptr.tolist() == [0, 1, 2, 4]
     b = CsrMatrix.from_coo([0, 0, 1, 1], [1, 1, 0, 2], [1.0, 2.0, 3.0, 4.0],
                            (2, 3))
     assert b.data.tolist() == [3.0, 3.0, 4.0]
-    with pytest.raises(AssertionError, match="lexsort"):
+    with pytest.raises(AssertionError, match="argsort"):
         CsrMatrix.from_coo([1, 0], [0, 0], [1.0, 2.0], (2, 1))
