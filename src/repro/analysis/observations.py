@@ -17,12 +17,11 @@ import numpy as np
 from ..datasets.suitesparse import generate_matrix
 from ..gpu.counters import KernelStats
 from ..gpu.device import Device
-from ..graph import GraphScheduler, TaskGraph, TaskNode, graph_enabled
+from ..graph import GraphScheduler, TaskGraph, TaskNode
 from ..kernels.base import (Quadrant, Variant, Workload, install_stats,
                             stats_table)
 from ..kernels import all_workloads, get_workload
 from ..perf.cache import content_key, default_cache, package_source_token
-from ..perf.executor import ParallelExecutor
 from ..perf.instrument import stage
 from .accuracy import (AUDIT_SEED, accuracy_key, accuracy_table,
                        accuracy_tables)
@@ -164,9 +163,10 @@ def observation_7(workloads, devices) -> ObservationResult:
     evidence = {}
     holds = True
     deviates = 0
-    # one batched audit call: per-workload tables fan out through the
-    # executor (and hit the result cache individually) instead of looping
-    tables = accuracy_tables(workloads, h200)
+    # read in-process: this runs inside a graph node (often in a pool
+    # worker), and in the default suite the upstream ``accuracy:`` nodes
+    # have already cached every table
+    tables = accuracy_tables(workloads, h200, n_jobs=1)
     for w in workloads:
         if not w.floating_point:
             continue
@@ -436,32 +436,17 @@ def build_observations_graph(workloads: list[Workload] | None = None,
 
 def verify_all(workloads: list[Workload] | None = None,
                devices: list[Device] | None = None,
-               *, n_jobs: int | None = None,
-               executor: ParallelExecutor | None = None,
-               mode: str | None = None) -> list[ObservationResult]:
+               *, n_jobs: int | None = None) -> list[ObservationResult]:
     """Evaluate all nine observations; returns them in order.
 
-    The default path emits the audit as a task graph
-    (:func:`build_observations_graph`) and drains it through the
-    :class:`~repro.graph.GraphScheduler`, so dataset generation,
-    accuracy audits, and analytic observations overlap instead of
-    running as staged barriers.  ``mode="staged"`` (or ``REPRO_GRAPH=0``,
-    or passing an ``executor``) falls back to the legacy staged fan-out
-    — bit-identical by construction, asserted by ``tests/graph/``.
-    Results are ordered by observation number regardless of mode or
+    Emits the audit as a task graph (:func:`build_observations_graph`)
+    and drains it through the :class:`~repro.graph.GraphScheduler`, so
+    dataset generation, accuracy audits, and analytic observations
+    overlap.  Results are ordered by observation number regardless of
     ``n_jobs``.
     """
-    if executor is None and graph_enabled(mode):
-        graph = build_observations_graph(workloads, devices)
-        with stage("analysis.verify_all"):
-            results = GraphScheduler(n_jobs).run(graph)
-        return [results[f"observation:{i + 1:02d}"]
-                for i in range(len(OBSERVATIONS))]
-    ex = executor if executor is not None else ParallelExecutor(n_jobs)
-    tasks = [(i, workloads, devices) for i in range(len(OBSERVATIONS))]
+    graph = build_observations_graph(workloads, devices)
     with stage("analysis.verify_all"):
-        return ex.map(_run_observation, tasks, chunk_size=1,
-                      labels=[f"observation {i + 1}"
-                              for i in range(len(OBSERVATIONS))],
-                      stage_names=[f"verify.observation:{i + 1}"
-                                   for i in range(len(OBSERVATIONS))])
+        results = GraphScheduler(n_jobs).run(graph)
+    return [results[f"observation:{i + 1:02d}"]
+            for i in range(len(OBSERVATIONS))]

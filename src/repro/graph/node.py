@@ -15,8 +15,8 @@ produces a *deterministic* topological order: ready nodes are always
 drained smallest-key-first, so the order depends only on the node set
 and the edges — never on insertion order.  That tie-break is what makes
 graph execution reproducible (and, because every node callable is one of
-the pipeline's existing deterministic functions, bit-identical to the
-staged loops it replaces).
+the pipeline's deterministic functions, bit-identical for any worker
+count).
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ class TaskNode:
     """One schedulable unit of pipeline work.
 
     ``fn`` must be a module-level (picklable) callable — the scheduler
-    ships nodes to pool workers exactly like
-    :class:`~repro.perf.executor.ParallelExecutor` ships chunks.
+    ships nodes to pool workers.
     ``deps`` name the keys of nodes that must complete first; ``kind``
     becomes the node's ``graph/<kind>`` profiler stage and its bench
     attribution group.  ``cache`` is the ``(kind, key)`` result-cache
@@ -83,7 +82,7 @@ class TaskGraph:
             raise ValueError(
                 f"node {node.key!r}: fn {qualname!r} is not a "
                 "module-level function; graph nodes must pickle to pool "
-                "workers (same contract as ParallelExecutor dispatch)")
+                "workers")
         self._nodes[node.key] = node
         return node
 

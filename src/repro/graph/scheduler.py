@@ -1,12 +1,13 @@
 """The dataflow scheduler: drain ready nodes through a shared pool.
 
-:class:`GraphScheduler` executes a :class:`~repro.graph.node.TaskGraph`
-with the same contract :class:`~repro.perf.executor.ParallelExecutor`
-gives staged fan-outs — deterministic results, stage attribution across
-the process boundary, and fault recovery — but without stage barriers:
-a ready node runs the moment its dependencies complete, so dataset
-generation for workload B overlaps the accuracy audit of workload A and
-the per-observation audit nodes of both.
+:class:`GraphScheduler` is the one execution engine: it executes a
+:class:`~repro.graph.node.TaskGraph` with deterministic results, stage
+attribution across the process boundary, and fault recovery, and owns
+the only process pool the pipelines start.  A ready node runs the
+moment its dependencies complete, so dataset generation for workload B
+overlaps the accuracy audit of workload A and the per-observation audit
+nodes of both.  :meth:`~repro.perf.executor.ParallelExecutor.map` is a
+graph of independent chunk nodes drained by the same loop.
 
 Demand pass: before anything is scheduled, :meth:`GraphScheduler.run`
 walks the graph in reverse topological order from its sinks (every sink
@@ -26,17 +27,22 @@ Execution model:
   in the graph's deterministic topological order.  No pool, no fault
   injection, results bit-identical to the pooled path by construction
   (every node callable is a deterministic function of its arguments).
-* pooled: ready nodes are submitted smallest-key-first as single-node
-  chunks through :func:`~repro.perf.executor._run_chunk_remote` — the
-  same worker entry the executor uses, so stage-registry snapshots ship
-  back per node and the ``executor.worker_crash`` / ``worker_hang``
-  fault sites fire under keys ``graph:<node key>:<attempt>``.
-* recovery mirrors the executor: a broken pool or a hung node ends the
-  *round* — completed in-flight results are harvested (never
-  recomputed), the pool is rebuilt with backoff, and the survivors are
-  resubmitted; after ``max_retries`` failed rounds the remaining nodes
-  degrade to the in-process serial path.  Deterministic task errors
-  (:class:`~repro.perf.executor.WorkerTaskError`) propagate immediately.
+* pooled: ready nodes are submitted smallest-key-first, at most one
+  per worker in flight, through :func:`_exec_remote`, which ships the
+  node's stage-registry snapshot back and hosts the
+  ``executor.worker_crash`` / ``worker_hang`` fault sites under keys
+  ``graph:<node key>:<attempt>``.
+* recovery: a ``BrokenProcessPool`` or ``OSError`` from a node, or a
+  round in which no in-flight node finishes within ``chunk_timeout_s``,
+  ends the *round* — completed in-flight results are harvested (never
+  recomputed), the pool is killed and rebuilt with backoff, and the
+  survivors are resubmitted; after ``max_retries`` failed rounds the
+  remaining nodes degrade to the in-process serial path.  Nothing else
+  is a pool failure: a deterministic task error
+  (:class:`~repro.perf.executor.WorkerTaskError`, raised unchanged on
+  every path) or any other exception propagates immediately, and a
+  worker-side ``KeyboardInterrupt`` kills the pool and re-raises as
+  "interrupted; cancelled pending graph nodes and retries".
 * nodes the :class:`~repro.graph.policy.ConcurrencyPolicy` marks
   exclusive (impure per ``determinism_facts.json``) never enter the
   pool: the scheduler drains in-flight work, then runs them in the
@@ -51,37 +57,90 @@ of merit ``repro bench --check`` gates — is recorded via
 from __future__ import annotations
 
 import heapq
+import os
 import time
+import traceback
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any
 
+from .. import faults
 from ..perf.cache import default_cache
-from ..perf.executor import (ParallelExecutor, WorkerTaskError, _env_float,
-                             _env_int, _run_chunk_remote, resolve_n_jobs)
+from ..perf.executor import (WorkerTaskError, _env_float, _env_int,
+                             resolve_n_jobs)
 from ..perf.instrument import (merge_stage_timings, note_graph_run,
-                               note_worker_count, stage)
+                               note_worker_count, reset_stage_stack,
+                               reset_stage_timings, snapshot_stage_timings,
+                               stage)
 from .node import TaskGraph, TaskNode
 from .policy import ConcurrencyPolicy
 
 __all__ = ["GraphScheduler", "GraphStats"]
 
 
-def _exec_node(item: tuple) -> tuple[Any, float]:
-    """Worker-side node entry: run ``fn(*args)`` under its stage pair.
+def _exec_node(node: TaskNode) -> tuple[Any, float]:
+    """Run ``fn(*args)`` under the node's ``graph/<kind>`` stage pair.
 
     Returns ``(value, wall_seconds)`` — the wall clock is measured where
     the work ran, so overlap accounting is contention-honest (a node
     descheduled by a busier sibling reports the longer wall it actually
-    took).
+    took).  A failure surfaces as a :class:`WorkerTaskError` naming the
+    node; one raised inside the node keeps its own label.
     """
-    fn, args, kind = item
     t0 = time.perf_counter()
-    with stage("graph"):
-        with stage(kind):
-            value = fn(*args)
+    try:
+        with stage("graph"):
+            with stage(node.kind):
+                value = node.fn(*node.args)
+    except WorkerTaskError:
+        raise
+    except Exception as exc:
+        raise WorkerTaskError(
+            f"{node.display}: {type(exc).__name__}: {exc}\n"
+            f"--- worker traceback ---\n{traceback.format_exc()}"
+        ) from exc
     return value, time.perf_counter() - t0
+
+
+def _exec_remote(payload: tuple[TaskNode, str, float]
+                 ) -> tuple[tuple[Any, float], list[dict]]:
+    """Pool-worker node entry: run one node and ship its stage registry
+    back.
+
+    Workers are reused across nodes, so the registry is reset per node —
+    the snapshot is exactly this node's delta, and the parent's merge is
+    additive.  ``fault_key`` names this (node, attempt) so injected
+    crashes/hangs are deterministic and do not re-fire on the retry;
+    ``hang_s`` is how long an injected hang stalls (sized past the
+    parent's round timeout).
+    """
+    node, fault_key, hang_s = payload
+    if faults.site("executor.worker_crash", key=fault_key):
+        os._exit(17)  # abrupt death: no cleanup, breaks the pool
+    if faults.site("executor.worker_hang", key=fault_key):
+        time.sleep(hang_s)
+    reset_stage_timings()
+    reset_stage_stack()
+    out = _exec_node(node)
+    return out, snapshot_stage_timings()
+
+
+def _kill_pool(pool: ProcessPoolExecutor) -> None:
+    """Tear a pool down without waiting on hung or dead workers."""
+    pool.shutdown(wait=False, cancel_futures=True)
+    procs = list((getattr(pool, "_processes", None) or {}).values())
+    for proc in procs:
+        try:
+            proc.terminate()
+        except (OSError, ValueError):  # pragma: no cover - already gone
+            pass
+    for proc in procs:
+        try:
+            proc.join(timeout=5)
+        except (OSError, ValueError):  # pragma: no cover - already gone
+            pass
 
 
 @dataclass
@@ -115,37 +174,25 @@ class GraphStats:
 class GraphScheduler:
     """Execute a :class:`TaskGraph`; results keyed by node key.
 
-    ``executor`` donates its pool configuration (jobs, per-chunk
-    timeout, retry cap, backoff) so graph and staged execution share one
-    tuning surface; otherwise ``n_jobs`` resolves exactly like the
-    executor's (explicit > ``REPRO_JOBS`` > CPU count) and the timeout /
-    retry knobs read ``REPRO_CHUNK_TIMEOUT_S`` / ``REPRO_EXECUTOR_RETRIES``.
+    ``n_jobs`` resolves like the executor's (explicit > ``REPRO_JOBS`` >
+    CPU count); the round timeout and retry cap default to
+    ``REPRO_CHUNK_TIMEOUT_S`` / ``REPRO_EXECUTOR_RETRIES``.
     """
 
     def __init__(self, n_jobs: int | None = None, *,
-                 executor: ParallelExecutor | None = None,
                  policy: ConcurrencyPolicy | None = None,
                  chunk_timeout_s: float | None = None,
                  max_retries: int | None = None,
                  backoff_base_s: float = 0.05,
                  backoff_cap_s: float = 2.0) -> None:
-        if executor is not None:
-            self.n_jobs = executor.n_jobs
-            self.chunk_timeout_s = executor.chunk_timeout_s \
-                if chunk_timeout_s is None else chunk_timeout_s
-            self.max_retries = executor.max_retries \
-                if max_retries is None else max_retries
-            self.backoff_base_s = executor.backoff_base_s
-            self.backoff_cap_s = executor.backoff_cap_s
-        else:
-            self.n_jobs = resolve_n_jobs(n_jobs)
-            self.chunk_timeout_s = chunk_timeout_s \
-                if chunk_timeout_s is not None \
-                else _env_float("REPRO_CHUNK_TIMEOUT_S")
-            self.max_retries = max_retries if max_retries is not None \
-                else _env_int("REPRO_EXECUTOR_RETRIES", 3)
-            self.backoff_base_s = backoff_base_s
-            self.backoff_cap_s = backoff_cap_s
+        self.n_jobs = resolve_n_jobs(n_jobs)
+        self.chunk_timeout_s = chunk_timeout_s \
+            if chunk_timeout_s is not None \
+            else _env_float("REPRO_CHUNK_TIMEOUT_S")
+        self.max_retries = max_retries if max_retries is not None \
+            else _env_int("REPRO_EXECUTOR_RETRIES", 3)
+        self.backoff_base_s = backoff_base_s
+        self.backoff_cap_s = backoff_cap_s
         self.policy = policy if policy is not None else ConcurrencyPolicy()
         self.last_stats = GraphStats()
 
@@ -221,25 +268,19 @@ class GraphScheduler:
         return hits, pending
 
     # ---------------------------------------------------------- serial
-    def _run_inline(self, node: TaskNode, walls: dict[str, float]) -> Any:
+    @staticmethod
+    def _run_inline(node: TaskNode, walls: dict[str, float]) -> Any:
         """Run one node in-process (serial path, exclusive nodes, and the
-        degrade fallback).  No fault injection — mirrors the executor's
-        serial path, which never self-destructs."""
-        try:
-            value, wall = _exec_node((node.fn, node.args, node.kind))
-        except Exception as exc:
-            raise WorkerTaskError(
-                f"{node.display}: {type(exc).__name__}: {exc}") from exc
-        walls[node.key] = wall
+        degrade fallback).  No fault injection: the in-process path never
+        self-destructs."""
+        value, walls[node.key] = _exec_node(node)
         return value
 
     # ---------------------------------------------------------- pooled
     def _payload(self, node: TaskNode, attempt: int) -> tuple:
         hang_s = 2.0 * self.chunk_timeout_s if self.chunk_timeout_s \
             else 2.0
-        return (_exec_node, [(node.fn, node.args, node.kind)],
-                [node.display], None, f"graph:{node.key}:{attempt}",
-                hang_s)
+        return node, f"graph:{node.key}:{attempt}", hang_s
 
     def _run_pooled(self, graph: TaskGraph, order: list[str],
                     workers: int, walls: dict[str, float],
@@ -270,6 +311,11 @@ class GraphScheduler:
                 if deps_left[child] == 0:
                     _enqueue(child)
 
+        def _harvest(key: str, fut: Future) -> None:
+            (value, walls[key]), timings = fut.result()
+            merge_stage_timings(timings)
+            _complete(key, value)
+
         for key in order:
             if deps_left[key] == 0:
                 _enqueue(key)
@@ -287,7 +333,7 @@ class GraphScheduler:
                     key = heapq.heappop(ready)
                     stats.retried_nodes += attempts[key] > 0
                     fut = pool.submit(
-                        _run_chunk_remote,
+                        _exec_remote,
                         self._payload(graph.node(key), attempts[key]))
                     inflight[fut] = key
                 if not inflight:
@@ -310,34 +356,26 @@ class GraphScheduler:
                     key = inflight.pop(fut)
                     exc = fut.exception()
                     if exc is None:
-                        out, timings = fut.result()
-                        value, wall = out[0]
-                        merge_stage_timings(timings)
-                        walls[key] = wall
-                        _complete(key, value)
-                    elif isinstance(exc, WorkerTaskError):
-                        raise exc
-                    else:  # broken pool / OSError: retry this node
-                        round_failed = True
+                        _harvest(key, fut)
+                    elif isinstance(exc, (BrokenProcessPool, OSError)):
+                        round_failed = True  # the pool failed: retry
                         attempts[key] += 1
                         heapq.heappush(ready, key)
+                    else:  # task error, interrupt, exit: never retried
+                        raise exc
                 if not round_failed:
                     continue
                 # harvest in-flight survivors, requeue the rest, rebuild
                 for fut, key in list(inflight.items()):
                     if fut.done() and not fut.cancelled() \
                             and fut.exception() is None:
-                        out, timings = fut.result()
-                        value, wall = out[0]
-                        merge_stage_timings(timings)
-                        walls[key] = wall
-                        _complete(key, value)
+                        _harvest(key, fut)
                     else:
                         attempts[key] += 1
                         heapq.heappush(ready, key)
                 inflight.clear()
                 if pool is not None:
-                    ParallelExecutor._kill_pool(pool)
+                    _kill_pool(pool)
                     pool = None
                 failed_rounds += 1
                 stats.failed_rounds = failed_rounds
@@ -349,14 +387,14 @@ class GraphScheduler:
                     self.backoff_cap_s))
         except KeyboardInterrupt:
             if pool is not None:
-                ParallelExecutor._kill_pool(pool)
+                _kill_pool(pool)
             raise KeyboardInterrupt(
                 "interrupted; cancelled pending graph nodes and "
                 "retries") from None
         except BaseException:
-            # deterministic task failure: don't hang on remaining nodes
+            # a task error or a worker's exit: don't hang on the rest
             if pool is not None:
-                ParallelExecutor._kill_pool(pool)
+                _kill_pool(pool)
             raise
         if pool is not None:
             pool.shutdown(wait=True)

@@ -5,10 +5,10 @@ it evaluates the analytic model at paper scale for every combination and
 returns structured records the report layer formats into the paper's
 figures.
 
-The grid is embarrassingly parallel, so it routes through
-:class:`~repro.perf.executor.ParallelExecutor`: one task per workload
-evaluates all cases, variants, and devices, with ``analytic_stats``
-hoisted out of the device loop (counters are device-independent — only
+The grid is embarrassingly parallel, so it runs as a task graph through
+:class:`~repro.graph.GraphScheduler`: one node per workload evaluates
+all cases, variants, and devices, with ``analytic_stats`` hoisted out of
+the device loop (counters are device-independent — only
 ``Device.resolve`` varies per GPU).  Records are reassembled in the
 canonical device-major order, so serial (``n_jobs=1``) and parallel runs
 return identical records in identical order.
@@ -21,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..gpu.device import Device
-from ..graph import GraphScheduler, TaskGraph, TaskNode, graph_enabled
+from ..graph import GraphScheduler, TaskGraph, TaskNode
 from ..kernels.base import Quadrant, Variant, Workload
 from ..kernels import all_workloads
-from ..perf.executor import ParallelExecutor
 from ..perf.instrument import stage
 
 __all__ = ["PerfRecord", "build_performance_graph", "run_performance",
@@ -108,33 +107,22 @@ def build_performance_graph(workloads: list[Workload],
 
 def run_performance(workloads: list[Workload] | None = None,
                     devices: list[Device] | None = None,
-                    *, n_jobs: int | None = None,
-                    executor: ParallelExecutor | None = None,
-                    mode: str | None = None) -> list[PerfRecord]:
+                    *, n_jobs: int | None = None) -> list[PerfRecord]:
     """Evaluate every (gpu, workload, variant, case) combination.
 
-    The default path drains :func:`build_performance_graph` through the
-    :class:`~repro.graph.GraphScheduler`; ``mode="staged"``,
-    ``REPRO_GRAPH=0``, or an explicit ``executor`` selects the legacy
-    staged fan-out.  Records come back in device-major order (device,
-    workload, case, variant) regardless of mode or ``n_jobs``.
+    Drains :func:`build_performance_graph` through the
+    :class:`~repro.graph.GraphScheduler`.  Records come back in
+    device-major order (device, workload, case, variant) regardless of
+    ``n_jobs``.
     """
     if workloads is None:
         workloads = all_workloads()
     if devices is None:
         devices = default_devices()
-    if executor is None and graph_enabled(mode):
-        graph = build_performance_graph(workloads, devices)
-        with stage("harness.run_performance"):
-            results = GraphScheduler(n_jobs).run(graph)
-        per_workload = [results[f"perf:{w.name}"] for w in workloads]
-    else:
-        ex = executor if executor is not None else ParallelExecutor(n_jobs)
-        with stage("harness.run_performance"):
-            per_workload = ex.map(_workload_records,
-                                  [(w, devices) for w in workloads],
-                                  chunk_size=1,
-                                  labels=[w.name for w in workloads])
+    graph = build_performance_graph(workloads, devices)
+    with stage("harness.run_performance"):
+        results = GraphScheduler(n_jobs).run(graph)
+    per_workload = [results[f"perf:{w.name}"] for w in workloads]
     records: list[PerfRecord] = []
     for di in range(len(devices)):
         for wi in range(len(workloads)):

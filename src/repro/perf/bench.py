@@ -89,8 +89,7 @@ PROFILE_GROUPS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("dataset-gen", ("datasets.", "dataset-gen")),
     ("accuracy-audit", ("accuracy.", "analysis.accuracy_table",
                         "accuracy-audit")),
-    ("observation-audit", ("verify.", "analysis.verify_all",
-                           "observation-audit")),
+    ("observation-audit", ("analysis.verify_all", "observation-audit")),
     ("analytic-stats", ("analytic-stats",)),
     ("refinement", ("refine.",)),
     ("ozaki", ("ozaki.",)),

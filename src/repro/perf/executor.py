@@ -1,58 +1,42 @@
 """Deterministic parallel fan-out over a process pool, with recovery.
 
-:class:`ParallelExecutor` is the one execution primitive the evaluation
-grid routes through: ``map`` preserves input order exactly, chunks work
+:class:`ParallelExecutor` is the order-preserving map the flat fan-outs
+route through: ``map`` preserves input order exactly, chunks work
 deterministically (boundaries depend only on item count and chunk size),
-and falls back to a plain in-process loop for ``n_jobs=1`` — so the serial
-and parallel paths produce identical results in identical order, which the
-test suite asserts.
+and falls back to a plain in-process loop for ``n_jobs=1`` — so the
+serial and parallel paths produce identical results in identical order,
+which the test suite asserts.
 
-Recovery (docs/ROBUSTNESS.md): a crashed pool (``BrokenProcessPool``) or a
-chunk that exceeds the per-chunk timeout no longer aborts the map.
-Completed chunk results are harvested and kept; the pool is rebuilt and
-only the unfinished chunks are retried, with capped exponential backoff
-between rounds; after ``max_retries`` failed rounds the remaining chunks
-degrade to the in-process serial path.  Every retry replays the *same*
-deterministic chunk, so the assembled output is bit-identical to a
-fault-free run regardless of how many workers died along the way.
-Task-level exceptions (:class:`WorkerTaskError`) are deterministic and
-propagate immediately — retrying them would fail identically.
+A pooled ``map`` is a task graph of dependency-free chunk nodes (keys
+``chunk:<zero-padded index>``, so smallest-key-first is chunk order)
+drained by :class:`~repro.graph.GraphScheduler`, and has its recovery
+(docs/ROBUSTNESS.md): a crashed or hung round keeps completed chunks,
+retries the rest on a rebuilt pool, and finally degrades to the serial
+path, bit-identically; the ``executor.worker_crash`` /
+``executor.worker_hang`` fault sites fire there.  Task-level exceptions
+(:class:`WorkerTaskError`) are deterministic and propagate immediately,
+labels intact.
 
-Worker functions must be module-level (picklable); items are sent to
-workers in contiguous chunks to amortize process overhead.  ``n_jobs``
-defaults to ``REPRO_JOBS`` or the machine's CPU count; the per-chunk
-timeout to ``REPRO_CHUNK_TIMEOUT_S`` (unset = wait forever) and the retry
-cap to ``REPRO_EXECUTOR_RETRIES``.
+Worker functions must be module-level (picklable).  ``n_jobs`` defaults
+to ``REPRO_JOBS`` or the machine's CPU count; the round timeout to
+``REPRO_CHUNK_TIMEOUT_S`` (unset = wait forever) and the retry cap to
+``REPRO_EXECUTOR_RETRIES``.
 
 Stage attribution survives the fan-out: pass ``stage_names`` (one stage
 name per item) and each item runs under :func:`repro.perf.instrument.stage`.
-Pool workers snapshot their stage registry per chunk and ship it back with
-the results; the parent merges the records under whatever stage is active
-at the ``map`` call site, so ``analysis.verify_all`` decomposes into
-per-item children whether the work ran in-process or across processes.
-
-Chaos hooks: the ``executor.worker_crash`` and ``executor.worker_hang``
-fault sites fire at pool-chunk start, keyed by (chunk bounds, attempt) so
-an injected crash does not re-fire on the retry.  They are injected only
-on the pool path — the serial path (and the degrade-to-serial fallback)
-never self-destructs.
+Pool workers ship their stage registry back with every node, and the
+parent merges the records under whatever stage is active at the ``map``
+call site (inside the scheduler's ``graph/map-chunk`` node stages).
 """
 
 from __future__ import annotations
 
 import math
 import os
-import time
 import traceback
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
-from .. import faults
-from .instrument import (merge_stage_timings, note_worker_count,
-                         reset_stage_stack, reset_stage_timings,
-                         snapshot_stage_timings, stage)
+from .instrument import note_worker_count, stage
 
 __all__ = ["ParallelExecutor", "WorkerTaskError", "resolve_n_jobs"]
 
@@ -140,39 +124,14 @@ def _run_chunk(payload: tuple[Callable[[T], R], list[T], list[str] | None,
     return out
 
 
-def _run_chunk_remote(payload: tuple[Callable[[T], R], list[T],
-                                     list[str] | None, list[str] | None,
-                                     str, float]
-                      ) -> tuple[list[R], list[dict]]:
-    """Pool-worker entry: run a chunk and ship its stage registry back.
-
-    Workers are reused across chunks, so the registry is reset per chunk
-    — the snapshot is exactly this chunk's delta, and the parent's merge
-    is additive across chunks.
-
-    ``fault_key`` names this (chunk, attempt) so injected crashes/hangs
-    are deterministic and do not re-fire on the retry; ``hang_s`` is how
-    long an injected hang stalls (sized past the parent's chunk timeout).
-    """
-    fn, chunk, labels, stage_names, fault_key, hang_s = payload
-    if faults.site("executor.worker_crash", key=fault_key):
-        os._exit(17)  # abrupt death: no cleanup, breaks the pool
-    if faults.site("executor.worker_hang", key=fault_key):
-        time.sleep(hang_s)
-    reset_stage_timings()
-    reset_stage_stack()
-    out = _run_chunk((fn, chunk, labels, stage_names))
-    return out, snapshot_stage_timings()
-
-
 class ParallelExecutor:
     """Order-preserving map over a process pool (or in-process for 1 job).
 
-    ``chunk_timeout_s`` bounds how long the parent waits on one chunk's
-    result once every earlier chunk has been collected (None = forever);
-    ``max_retries`` caps the failed pool rounds before the remaining
-    chunks degrade to the serial path; backoff between rounds grows
-    ``backoff_base_s * 2**round`` up to ``backoff_cap_s``.
+    ``chunk_timeout_s`` bounds how long the parent waits for *some*
+    in-flight chunk to finish (None = forever); ``max_retries`` caps the
+    failed pool rounds before the remaining chunks degrade to the serial
+    path; backoff between rounds grows ``backoff_base_s * 2**round`` up
+    to ``backoff_cap_s``.
     """
 
     def __init__(self, n_jobs: int | None = None, *,
@@ -216,7 +175,8 @@ class ParallelExecutor:
 
         ``stage_names`` (a name per item, or a callable) runs each item
         under that instrumentation stage; pool-worker timings are merged
-        back under the stage active at this call site.
+        back under the stage active at this call site, below the
+        scheduler's ``graph/map-chunk`` node stages.
         """
         items = list(items)
         if callable(labels):
@@ -235,6 +195,7 @@ class ParallelExecutor:
                     f"{len(stage_names)} stage names for {len(items)} items")
         workers = min(self.n_jobs, len(items))
         note_worker_count(max(workers, 1))
+        self.last_failed_rounds = self.last_degraded_chunks = 0
         if workers <= 1:
             return _run_chunk((fn, items, labels, stage_names))
         size = chunk_size or self.chunk_size
@@ -242,138 +203,27 @@ class ParallelExecutor:
             # a few chunks per worker bounds imbalance without flooding
             # the pool with tiny tasks
             size = max(1, math.ceil(len(items) / (4 * workers)))
+        # imported here: the graph package builds on this module
+        from ..graph import GraphScheduler, TaskGraph, TaskNode
+
         bounds = _chunk_bounds(len(items), size)
-        results = self._run_pool_rounds(fn, items, labels, stage_names,
-                                        bounds, workers)
-        out: list[R] = []
-        for idx in range(len(bounds)):
-            chunk, timings = results[idx]
-            out.extend(chunk)
-            merge_stage_timings(timings)
-        return out
-
-    # ------------------------------------------------------- pool rounds
-    def _payload(self, fn, items, labels, stage_names,
-                 bounds: tuple[int, int], attempt: int):
-        lo, hi = bounds
-        hang_s = 2.0 * self.chunk_timeout_s if self.chunk_timeout_s else 2.0
-        return (fn, items[lo:hi],
-                labels[lo:hi] if labels else None,
-                stage_names[lo:hi] if stage_names else None,
-                f"{lo}-{hi}:{attempt}", hang_s)
-
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Tear a pool down without waiting on hung or dead workers."""
-        pool.shutdown(wait=False, cancel_futures=True)
-        procs = list((getattr(pool, "_processes", None) or {}).values())
-        for proc in procs:
-            try:
-                proc.terminate()
-            except (OSError, ValueError):  # pragma: no cover - already gone
-                pass
-        for proc in procs:
-            try:
-                proc.join(timeout=5)
-            except (OSError, ValueError):  # pragma: no cover - already gone
-                pass
-
-    def _run_pool_rounds(self, fn, items, labels, stage_names,
-                         bounds: list[tuple[int, int]], workers: int
-                         ) -> dict[int, tuple[list, list[dict]]]:
-        """Run every chunk to completion across pool rounds.
-
-        One *round* submits all pending chunks to a (fresh) pool and
-        collects results in chunk order.  A pool-level failure — broken
-        pool, hung chunk — ends the round: done futures are harvested,
-        the pool is killed and rebuilt, and the survivors are retried
-        with backoff.  Returns ``{chunk_index: (results, timings)}``.
-        """
-        results: dict[int, tuple[list, list[dict]]] = {}
-        pending = set(range(len(bounds)))
-        attempts = {idx: 0 for idx in pending}
-        failed_rounds = 0
-        self.last_failed_rounds = 0
-        self.last_degraded_chunks = 0
-        pool: ProcessPoolExecutor | None = None
-        try:
-            while pending and failed_rounds <= self.max_retries:
-                if pool is None:
-                    pool = ProcessPoolExecutor(
-                        max_workers=min(workers, len(pending)))
-                order = sorted(pending)
-                futures: dict[int, Future] = {
-                    idx: pool.submit(
-                        _run_chunk_remote,
-                        self._payload(fn, items, labels, stage_names,
-                                      bounds[idx], attempts[idx]))
-                    for idx in order}
-                round_failure: str | None = None
-                for idx in order:
-                    try:
-                        results[idx] = futures[idx].result(
-                            timeout=self.chunk_timeout_s)
-                        pending.discard(idx)
-                    except FuturesTimeoutError:
-                        round_failure = (
-                            f"chunk {idx} produced no result within "
-                            f"{self.chunk_timeout_s}s")
-                        break
-                    except (BrokenProcessPool, OSError) as exc:
-                        round_failure = f"pool failure: {exc}"
-                        break
-                if round_failure is None:
-                    break
-                # harvest chunks that completed before the failure; a
-                # deterministic task error propagates immediately
-                task_error: WorkerTaskError | None = None
-                for idx, fut in futures.items():
-                    if idx not in pending or not fut.done() \
-                            or fut.cancelled():
-                        continue
-                    exc = fut.exception()
-                    if exc is None:
-                        results[idx] = fut.result()
-                        pending.discard(idx)
-                    elif isinstance(exc, WorkerTaskError):
-                        task_error = exc
-                if task_error is not None:
-                    raise task_error
-                self._kill_pool(pool)
-                pool = None
-                failed_rounds += 1
-                self.last_failed_rounds = failed_rounds
-                for idx in pending:
-                    attempts[idx] += 1
-                if pending and failed_rounds <= self.max_retries:
-                    time.sleep(min(
-                        self.backoff_base_s * (2 ** (failed_rounds - 1)),
-                        self.backoff_cap_s))
-        except KeyboardInterrupt:
-            if pool is not None:
-                self._kill_pool(pool)
-            raise KeyboardInterrupt(
-                "interrupted; cancelled pending worker chunks and "
-                "retries") from None
-        except BaseException:
-            # a task failure: don't hang on the remaining chunks
-            if pool is not None:
-                self._kill_pool(pool)
-            raise
-        if pool is not None:
-            pool.shutdown(wait=True)
-        if pending:
-            # repeated pool failures: finish in-process — completed chunk
-            # results are reused, never recomputed
-            self.last_degraded_chunks = len(pending)
-            for idx in sorted(pending):
-                lo, hi = bounds[idx]
-                chunk_out = _run_chunk(
-                    (fn, items[lo:hi],
-                     labels[lo:hi] if labels else None,
-                     stage_names[lo:hi] if stage_names else None))
-                results[idx] = (chunk_out, [])
-        return results
+        width = len(str(len(bounds) - 1))
+        graph = TaskGraph()
+        for idx, (lo, hi) in enumerate(bounds):
+            graph.add(TaskNode(
+                key=f"chunk:{idx:0{width}d}", kind="map-chunk",
+                fn=_run_chunk,
+                args=((fn, items[lo:hi], labels[lo:hi] if labels else None,
+                       stage_names[lo:hi] if stage_names else None),)))
+        sched = GraphScheduler(workers,
+                               chunk_timeout_s=self.chunk_timeout_s,
+                               max_retries=self.max_retries,
+                               backoff_base_s=self.backoff_base_s,
+                               backoff_cap_s=self.backoff_cap_s)
+        results = sched.run(graph)
+        self.last_failed_rounds = sched.last_stats.failed_rounds
+        self.last_degraded_chunks = sched.last_stats.degraded_nodes
+        return [out for node in graph for out in results[node.key]]
 
     # ------------------------------------------------------------------
     def starmap(self, fn: Callable[..., R],

@@ -15,7 +15,7 @@ reports and the CI gate bounds.
 The harness report layer formats the registry into the run report,
 ``repro ... --timings`` prints it, and the ``REPRO_STAGE_JSON`` hook dumps
 it for the cross-process bench profiler.  Worker processes return their
-registries to the parent through :class:`~repro.perf.executor.ParallelExecutor`,
+registries to the parent through :class:`~repro.graph.GraphScheduler`,
 which merges them under the stage active at the call site via
 :func:`merge_stage_timings` — so fan-out never loses attribution.
 """

@@ -11,7 +11,8 @@ corrupt entries.  The observation graph's ``stats:`` nodes get the same
 treatment: each workload's analytic stats are computed in one process,
 and a verdict that misses replays them from the persisted tables.  Its
 ``matrix:`` nodes generate each full-scale Table 4 matrix once, in one
-pool worker, for every stats and dataset node that reads it.
+pool worker, for every stats and dataset node that reads it, and the
+scheduler's pool is the only one the audit builds.
 """
 
 import functools
@@ -22,6 +23,7 @@ import pickle
 import shutil
 import sys
 from collections import OrderedDict
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -46,7 +48,6 @@ from repro.kernels import SpmvWorkload, all_workloads, get_workload
 from repro.kernels import base as base_mod
 from repro.kernels import spgemm as spgemm_mod
 from repro.kernels import spmv as spmv_mod
-from repro.perf import executor as executor_mod
 from repro.perf.cache import (
     ResultCache,
     default_cache,
@@ -333,19 +334,33 @@ def _recording_matrices(mp, log):
             mod._analytic_matrix.__wrapped__))
 
 
+def _recording_pools(mp, log):
+    """Append ``pid parent-pid`` of the building process to the file
+    ``log`` for every process pool constructed, in the parent or in a
+    pool worker."""
+    init = ProcessPoolExecutor.__init__
+
+    def record(self, *args, **kwargs):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {os.getppid()}\n")
+        init(self, *args, **kwargs)
+
+    mp.setattr(ProcessPoolExecutor, "__init__", record)
+
+
 @pytest.fixture(scope="module")
 def cold_audit(tmp_path_factory):
     """One cold two-worker audit into a fresh cache directory:
-    ``(cache dir, results, graph stats meta, stats log, matrix log)``.
-    The stats memo starts empty and every computed analytic-stats triple
-    is logged with the process that computed it; so is every Table 4
-    matrix read and generated, with no matrix memoized in the sparse
-    workloads."""
+    ``(cache dir, results, graph stats meta, stats log, matrix log,
+    pool log)``.  The stats memo starts empty and every computed
+    analytic-stats triple is logged with the process that computed it;
+    so is every Table 4 matrix read and generated, with no matrix
+    memoized in the sparse workloads, and every process pool built."""
     root = tmp_path_factory.mktemp("audit")
     directory, log = root / "cache", root / "stats.log"
-    matrix_log = root / "matrix.log"
-    log.touch()
-    matrix_log.touch()
+    matrix_log, pool_log = root / "matrix.log", root / "pool.log"
+    for path in (log, matrix_log, pool_log):
+        path.touch()
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("REPRO_CACHE_DIR", str(directory))
         mp.delenv("REPRO_CACHE", raising=False)
@@ -357,6 +372,7 @@ def cold_audit(tmp_path_factory):
             mp.setattr(type(w), "analytic_stats",
                        base_mod._memoize_stats(_recording(impl, log)))
         _recording_matrices(mp, matrix_log)
+        _recording_pools(mp, pool_log)
         previous = set_default_cache(None)
         try:
             reset_stage_timings()
@@ -365,7 +381,8 @@ def cold_audit(tmp_path_factory):
         finally:
             set_default_cache(previous)
     return (directory, results, meta, log.read_text().splitlines(),
-            matrix_log.read_text().splitlines())
+            matrix_log.read_text().splitlines(),
+            pool_log.read_text().splitlines())
 
 
 @pytest.fixture
@@ -420,7 +437,7 @@ def _addresses(graph):
 
 class TestObservationGraphDemand:
     def test_cold_audit_runs_every_node(self, cold_audit):
-        _, results, meta, _, _ = cold_audit
+        _, results, meta, *_ = cold_audit
         assert _evidence_digest(results) == EVIDENCE_SHA256
         assert meta["nodes"] == 42
         assert meta["cached_nodes"] == 0 and meta["skipped_nodes"] == 0
@@ -467,6 +484,12 @@ class TestObservationGraphDemand:
             producer = f"matrix:{request.split()[0]}"
             assert producer in _upstream(graph, node), (node, request)
 
+    def test_cold_audit_builds_one_pool_in_the_parent(self, cold_audit):
+        """Observation 7 reads its Table 6 rows in-process: the one pool
+        a pooled cold audit builds is the scheduler's, in the parent,
+        and no node forks a second pool inside a pool worker."""
+        assert cold_audit[5] == [f"{os.getpid()} {os.getppid()}"]
+
     def test_cold_audit_writes_every_declared_address(self, cold_audit,
                                                       audit_cache):
         cache = audit_cache()
@@ -487,7 +510,6 @@ class TestObservationGraphDemand:
             self, audit_cache, monkeypatch):
         cache = audit_cache()
         monkeypatch.setattr(sched_mod, "ProcessPoolExecutor", _no_pool)
-        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", _no_pool)
         _forbid_datasets(monkeypatch)
         results = verify_all(n_jobs=2)
         assert _evidence_digest(results) == EVIDENCE_SHA256

@@ -1,11 +1,21 @@
-"""Graph execution is bit-identical to the staged loops it replaced.
+"""Graph execution reproduces the pipelines' pinned outputs exactly.
 
-Each rewired pipeline (``verify_all``, ``run_performance``,
-``sweep_sizes``) is run both ways — graph default vs ``mode="staged"``
-legacy — and the results compared field-for-field.  Every node callable
-is a deterministic function of its arguments (the determinism facts
-prove it), so equality here is exact, not approximate.
+Each graph-built pipeline (``verify_all``, ``run_performance``,
+``sweep_sizes``) is held to a SHA-256 digest of its full result —
+every record, field and float bit, in order — for one and two workers.
+The digests were recorded from the fan-out loops the graph builders
+replaced, so they also pin that the graph changed nothing.  Every node
+callable is a deterministic function of its arguments (the determinism
+facts prove it), so equality here is exact, not approximate.
 """
+
+import dataclasses
+import enum
+import hashlib
+import json
+
+import numpy as np
+import pytest
 
 from repro.analysis.accuracy import accuracy_table
 from repro.analysis.observations import (
@@ -31,20 +41,57 @@ FAST_WL = [GemmWorkload(), ScanWorkload(), ReductionWorkload(),
            GemvWorkload(), SpmvWorkload(scale=0.08)]
 DEVICES = [Device("A100"), Device("H200"), Device("B200")]
 
+#: ``verify_all(FAST_WL, DEVICES)``: nine verdicts with their evidence
+OBSERVATIONS_SHA256 = \
+    "8fcd2d88019a19529210fed9ac15803cf5edce7bbba28a0e2404cdf9eb26b7cc"
+#: ``run_performance`` of gemm and gemv on A100 and H200: 70 records
+PERFORMANCE_SHA256 = \
+    "49e0bae79c53dce8d7730a4416a596ddf3d3de9611a45b42162c72c636f50b80"
+#: ``sweep_sizes("gemm", H200)``: 16 points, eight sizes x two variants
+SWEEP_SHA256 = \
+    "521fa4e52e98b496d225efe791e97235822b4b44092592522427e730c9890d4c"
 
-class TestObservationsIdentity:
-    def test_graph_matches_staged_on_subset(self):
-        staged = verify_all(FAST_WL, DEVICES, mode="staged")
-        graphed = verify_all(FAST_WL, DEVICES, n_jobs=2, mode="graph")
-        assert len(staged) == len(graphed) == len(OBSERVATIONS)
-        for s, g in zip(staged, graphed):
-            assert s == g  # ObservationResult eq: verdict AND evidence
 
-    def test_env_kill_switch_selects_staged(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GRAPH", "0")
-        fallback = verify_all(FAST_WL, DEVICES)
-        monkeypatch.delenv("REPRO_GRAPH")
-        assert fallback == verify_all(FAST_WL, DEVICES, mode="staged")
+def _canonical(obj):
+    """A JSON-ready form that keeps every bit: floats as ``float.hex``,
+    dataclasses as their type name then their fields in order."""
+    if isinstance(obj, np.generic):
+        return _canonical(obj.item())
+    if dataclasses.is_dataclass(obj):
+        return [type(obj).__name__] + [_canonical(getattr(obj, f.name))
+                                       for f in dataclasses.fields(obj)]
+    if isinstance(obj, enum.Enum):
+        return _canonical(obj.value)
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {str(k): _canonical(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_canonical(v) for v in obj]
+    return obj
+
+
+def _digest(obj) -> str:
+    text = json.dumps(_canonical(obj), sort_keys=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+class TestPinnedDigests:
+    def test_verify_all(self, n_jobs):
+        results = verify_all(FAST_WL, DEVICES, n_jobs=n_jobs)
+        assert _digest(results) == OBSERVATIONS_SHA256
+
+    def test_run_performance(self, n_jobs):
+        records = run_performance([GemmWorkload(), GemvWorkload()],
+                                  [Device("A100"), Device("H200")],
+                                  n_jobs=n_jobs)
+        assert _digest(records) == PERFORMANCE_SHA256
+
+    def test_sweep_sizes(self, n_jobs):
+        points = sweep_sizes("gemm", Device("H200"), n_jobs=n_jobs)
+        assert _digest(points) == SWEEP_SHA256
 
 
 class TestObservationsGraphShape:
@@ -91,26 +138,8 @@ class TestObservationsGraphShape:
         g.order()  # and the whole thing is a valid DAG
 
     def test_accuracy_node_matches_direct_call(self):
-        """The graph's accuracy node is the same computation the staged
-        audit runs — byte-for-byte the values the seed digests pin."""
+        """The graph's accuracy node is the same computation as a direct
+        audit call — byte-for-byte the values the seed digests pin."""
         direct = accuracy_table(get_workload("gemv"), Device("H200"))
         assert _node_accuracy("gemv") == direct
 
-
-class TestHarnessIdentity:
-    def test_run_performance_graph_matches_staged(self):
-        wl = [GemmWorkload(), GemvWorkload()]
-        devs = [Device("A100"), Device("H200")]
-        staged = run_performance(wl, devs, mode="staged")
-        graphed = run_performance(wl, devs, n_jobs=2, mode="graph")
-        assert graphed == staged
-        # device-major order is part of the contract
-        assert [r.gpu for r in graphed][:1] == ["A100"]
-
-    def test_sweep_graph_matches_staged(self):
-        dev = Device("H200")
-        staged = sweep_sizes("gemm", dev, mode="staged")
-        graphed = sweep_sizes("gemm", dev, n_jobs=2, mode="graph")
-        assert graphed == staged
-        sizes = [p.size for p in graphed]
-        assert sizes == sorted(sizes)

@@ -1,11 +1,11 @@
 """Graph scheduler fault recovery: crash rounds, node reuse, degrade.
 
-The contract mirrors the executor's (docs/ROBUSTNESS.md), per node
-instead of per chunk: a crashed or hung pool round never changes the
-assembled results — completed node values are harvested and reused,
-survivors are resubmitted under a new attempt key, and after
+The contract (docs/ROBUSTNESS.md): a crashed or hung pool round never
+changes the assembled results — completed node values are harvested and
+reused, survivors are resubmitted under a new attempt key, and after
 ``max_retries`` failed rounds the remainder finishes in-process in
-deterministic topological order.
+deterministic topological order.  Only a broken pool is retried: an
+interrupt or exit raised by a node is never mistaken for one.
 """
 
 import multiprocessing
@@ -55,6 +55,18 @@ class _CrashOnceNode:
         with open(self.log, "a") as fh:
             fh.write(f"{x}\n")
         return x * x
+
+
+def _interrupt_on_two(x):
+    if x == 2:
+        raise KeyboardInterrupt
+    return x * x
+
+
+def _exit_on_two(x):
+    if x == 2:
+        raise SystemExit(3)
+    return x * x
 
 
 def _graph(fn, n=8):
@@ -134,6 +146,34 @@ class TestDeterministicErrors:
         sched = GraphScheduler(2, max_retries=3, backoff_base_s=0.01)
         with pytest.raises(WorkerTaskError, match="bad item 9"):
             sched.run(g)
+
+    @pytest.mark.parametrize("fn, raised, match", [
+        (_interrupt_on_two, KeyboardInterrupt,
+         "cancelled pending graph nodes"),
+        (_exit_on_two, SystemExit, None),
+    ], ids=["interrupt", "exit"])
+    def test_worker_interrupt_or_exit_is_not_a_pool_failure(
+            self, fn, raised, match):
+        """A ``KeyboardInterrupt`` or ``SystemExit`` raised by a node in
+        a pool worker propagates at once: no rebuild, no degrade to the
+        parent, no leaked workers; an interrupt re-raises with the
+        cancellation message."""
+        before = {id(p) for p in multiprocessing.active_children()
+                  if p.is_alive()}
+        sched = GraphScheduler(2, max_retries=3, backoff_base_s=0.01)
+        with pytest.raises(raised, match=match):
+            sched.run(_graph(fn))
+        stats = sched.last_stats
+        assert (stats.failed_rounds, stats.retried_nodes,
+                stats.degraded_nodes) == (0, 0, 0)
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            leaked = [p for p in multiprocessing.active_children()
+                      if p.is_alive() and id(p) not in before]
+            if not leaked:
+                break
+            time.sleep(0.05)
+        assert not leaked, f"leaked pool processes: {leaked}"
 
 
 def _bad(x):

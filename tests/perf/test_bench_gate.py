@@ -289,7 +289,7 @@ class TestOverlapBudget:
                                 base) == []
 
     def test_run_without_graph_meta_passes(self, tmp_path):
-        # e.g. REPRO_GRAPH=0 staged runs record no overlap at all
+        # e.g. ``repro power``, which runs no task graph, records none
         base = self._baseline(tmp_path)
         assert check_regression(self._result(), base) == []
 

@@ -1,5 +1,7 @@
 """ParallelExecutor: ordering, determinism, chunking, fallback."""
 
+import os
+
 import pytest
 
 from repro.perf.executor import (
@@ -116,9 +118,20 @@ class TestMap:
             ParallelExecutor(1).map(_fail_on_five, list(range(10)),
                                     labels=lambda x: f"wl-{x}")
 
+    def test_pooled_map_runs_in_pool_workers(self):
+        """A pooled map's chunk nodes fan out to worker processes: a
+        chunk callable the scheduler's policy ran exclusively would
+        silently serialize the map in the parent."""
+        pids = ParallelExecutor(2).map(_pid, range(4), chunk_size=1)
+        assert os.getpid() not in pids
+
     def test_label_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="labels"):
             ParallelExecutor(2).map(_square, range(4), labels=["a"])
+
+
+def _pid(_: int) -> int:
+    return os.getpid()
 
 
 def _fail_on_five(x: int) -> float:
