@@ -13,11 +13,14 @@ from dataclasses import dataclass
 
 from ..gpu.device import Device
 from ..gpu.power import PowerTrace
+from ..graph import GraphScheduler, TaskGraph, TaskNode
 from ..kernels.base import Quadrant, Workload
 from ..perf.instrument import stage
+from .spine import add_spine
 
 
-__all__ = ["EdpEntry", "edp_study", "quadrant_geomeans", "power_trace_study"]
+__all__ = ["EdpEntry", "edp_study", "power_study", "quadrant_geomeans",
+           "power_trace_study"]
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,23 @@ def edp_study(workload: Workload, device: Device,
                 edp=power * t_loop * t_loop,
             ))
     return entries
+
+
+def power_study(workloads: list[Workload], device: Device,
+                repeats: int | None = None, *,
+                n_jobs: int | None = None) -> list[EdpEntry]:
+    """:func:`edp_study` of every workload, in order, as a task graph:
+    one ``edp:<workload>`` node behind the ``stats:`` row of its
+    representative case (:func:`~repro.analysis.spine.add_spine`)."""
+    g = TaskGraph()
+    spine = add_spine(g, workloads, representative=True)
+    for w in workloads:
+        g.add(TaskNode(key=f"edp:{w.name}", kind="edp", fn=edp_study,
+                       args=(w, device, repeats), deps=spine[w.name],
+                       label=f"edp {w.name}"))
+    with stage("analysis.power_study"):
+        results = GraphScheduler(n_jobs).run(g)
+    return [e for w in workloads for e in results[f"edp:{w.name}"]]
 
 
 def quadrant_geomeans(entries: list[EdpEntry]

@@ -14,12 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from ..datasets.suitesparse import generate_matrix
-from ..gpu.counters import KernelStats
 from ..gpu.device import Device
 from ..graph import GraphScheduler, TaskGraph, TaskNode
-from ..kernels.base import (Quadrant, Variant, Workload, install_stats,
-                            stats_table)
+from ..kernels.base import Quadrant, Variant, Workload
 from ..kernels import all_workloads, get_workload
 from ..perf.cache import content_key, default_cache, package_source_token
 from ..perf.instrument import stage
@@ -27,9 +24,10 @@ from .accuracy import (AUDIT_SEED, accuracy_key, accuracy_table,
                        accuracy_tables)
 from .edp import edp_study, quadrant_geomeans
 from .quadrants import classify
+from .spine import add_spine, matrix_node_key
 
 __all__ = ["ObservationResult", "build_observations_graph", "verify_all",
-           "observation_key", "stats_key", "OBSERVATIONS"]
+           "observation_key", "OBSERVATIONS"]
 
 
 @dataclass
@@ -243,18 +241,6 @@ def observation_key(idx: int) -> str:
                        np.__version__)
 
 
-def stats_key(workload: Workload) -> str:
-    """The result-cache key (kind ``"stats"``) of one workload's
-    analytic-stats table (:func:`~repro.kernels.base.stats_table`).
-
-    Shared by :func:`_node_stats`, :func:`_run_observation` and the
-    observation graph's ``stats:`` nodes, which declare it as their cache
-    address.  Raises ``TypeError`` when the workload is not keyable."""
-    return content_key("stats", package_source_token(),
-                       type(workload).__qualname__,
-                       dict(workload._memo_state()), np.__version__)
-
-
 def _run_observation(task: tuple[int, list[Workload] | None,
                                  list[Device] | None]) -> ObservationResult:
     """Worker: evaluate one observation by index.  ``None`` workloads or
@@ -264,11 +250,8 @@ def _run_observation(task: tuple[int, list[Workload] | None,
     Default-suite verdicts are content-address cached: every input is
     fixed-seed deterministic and the key carries the whole package source
     token, so a warm audit replays from the cache while any code change
-    invalidates it.  On a miss the suite's analytic-stats tables, which
-    the graph's ``stats:`` nodes persisted, seed this process's stats memo
-    first; a table that is missing (or was quarantined as corrupt) leaves
-    its workload to compute its own stats.  Explicit workload/device lists
-    skip the cache (their identity is not reliably keyable)."""
+    invalidates it.  Explicit workload/device lists skip the cache (their
+    identity is not reliably keyable)."""
     idx, workloads, devices = task
     default_suite = workloads is None and devices is None
     if workloads is None:
@@ -277,67 +260,9 @@ def _run_observation(task: tuple[int, list[Workload] | None,
         devices = [Device("A100"), Device("H200"), Device("B200")]
     if not default_suite:
         return OBSERVATIONS[idx](workloads, devices)
-
-    def evaluate() -> ObservationResult:
-        for w in workloads:
-            found, table = default_cache().peek("stats", stats_key(w))
-            if found:
-                install_stats(table)
-        return OBSERVATIONS[idx](workloads, devices)
-
     return default_cache().get_or_compute(
-        "observation", observation_key(idx), evaluate)
-
-
-def _node_stats(name: str) -> dict[str, KernelStats]:
-    """Analytic-stats node: one workload's stats table, computed once per
-    audit and persisted at :func:`stats_key`.
-
-    Several observations read the same workload's stats; without this
-    node each pool worker that ran one of them recomputed the whole
-    suite's stats in its own process-local memo."""
-    w = get_workload(name)
-    return default_cache().get_or_compute(
-        "stats", stats_key(w), lambda: stats_table(w))
-
-
-def _node_matrix(name: str, scale: float, seed: int) -> str:
-    """Matrix node: generate one Table 4 matrix into the generator cache.
-
-    The SpMV and SpGEMM stats tables and the SpMV dataset read the same
-    full-scale matrices; without this node each, running side by side in
-    its own worker, would generate its own copy before any found
-    another's cache entry.  Like a dataset node, the node's value is
-    just the name and its product is the cache entry."""
-    generate_matrix(name, scale=scale, seed=seed)
-    return name
-
-
-def _matrix_nodes(workloads: list[Workload]
-                  ) -> tuple[list[TaskNode], dict[str, tuple[str, ...]]]:
-    """One ``matrix:<name>`` node per Table 4 matrix the analytic stats
-    read, with the exact :meth:`~repro.kernels.base.Workload.matrix_args`
-    its readers request, and each reading ``stats:``/``dataset:`` node's
-    matrix dependencies."""
-    nodes: dict[tuple[str, float, int], TaskNode] = {}
-    reads: dict[str, list[str]] = {}
-    for w in workloads:
-        for case in w.cases():
-            args = w.matrix_args(case)
-            if args is None:
-                continue
-            if args not in nodes:
-                nodes[args] = TaskNode(key=f"matrix:{args[0]}",
-                                       kind="dataset-gen", fn=_node_matrix,
-                                       args=args, label=f"matrix {args[0]}")
-            reads.setdefault(f"stats:{w.name}", []).append(nodes[args].key)
-    for w in workloads:
-        args = w.matrix_args(w.exec_case(w.representative_case()),
-                             AUDIT_SEED)
-        if w.floating_point and args in nodes:
-            reads.setdefault(f"dataset:{w.name}", []).append(nodes[args].key)
-    return list(nodes.values()), {reader: tuple(keys)
-                                  for reader, keys in reads.items()}
+        "observation", observation_key(idx),
+        lambda: OBSERVATIONS[idx](workloads, devices))
 
 
 def _node_dataset(name: str) -> str:
@@ -368,30 +293,20 @@ def build_observations_graph(workloads: list[Workload] | None = None,
                              ) -> TaskGraph:
     """The observation audit as an explicit dataflow graph.
 
-    For the default suite the audit over-decomposes: per floating-point
-    workload a ``dataset:<name>`` node feeds an ``accuracy:<name>``
-    node, and per workload a ``stats:<name>`` node computes its
-    analytic-stats table.  One ``matrix:<name>`` node per Table 4
-    matrix generates it for every stats and dataset node that reads it
-    (:func:`_matrix_nodes`).  The nine ``observation:NN`` nodes depend
-    on every stats node, and O7 (the functional accuracy study) also on
-    the accuracy nodes.  Dataset generation for workload B therefore
-    overlaps the accuracy audit of workload A *and* the stats tables of
-    both, and each table and matrix is computed once instead of once
-    per worker.
-
-    Explicit workload/device lists skip the warm-up spine (their
-    identity is not reliably keyable for the shared caches) and emit
-    the nine observation nodes only.
+    For the default suite: the characterization spine
+    (:func:`~repro.analysis.spine.add_spine`), and per floating-point
+    workload a ``dataset:<name>`` node (behind its matrix's node, when
+    the spine has one) feeding an ``accuracy:<name>`` node.  The nine
+    ``observation:NN`` nodes depend on every ``stats:`` row, and O7 also
+    on the accuracy nodes.  Explicit workload/device lists (whose
+    identity is not reliably keyable) get the nine observation nodes
+    only.
 
     Default-suite ``observation:``, ``accuracy:`` and ``stats:`` nodes
-    declare the result-cache address their callable writes
-    (:func:`observation_key`,
-    :func:`~repro.analysis.accuracy.accuracy_key`, :func:`stats_key`),
-    so the scheduler's demand pass replays a warm audit from its nine
-    verdicts; a ``dataset:`` or ``matrix:`` node's product is a side
-    effect with no address, and it runs only when a node below it
-    misses.
+    declare the result-cache address their callable writes, so the
+    demand pass replays a warm audit from its nine verdicts; a
+    ``dataset:`` or ``matrix:`` node's product is a side effect with no
+    address, and it runs only when a node below it misses.
     """
     g = TaskGraph()
     default_suite = workloads is None and devices is None
@@ -399,19 +314,17 @@ def build_observations_graph(workloads: list[Workload] | None = None,
     accuracy_deps: tuple[str, ...] = ()
     if default_suite:
         h200 = Device("H200")
-        matrices, reads = _matrix_nodes(all_workloads())
-        g.extend(matrices)
+        spine = add_spine(g, all_workloads())
+        stats_deps = sum(spine.values(), ())
         for w in all_workloads():
-            g.add(TaskNode(key=f"stats:{w.name}", kind="analytic-stats",
-                           fn=_node_stats, args=(w.name,),
-                           deps=reads.get(f"stats:{w.name}", ()),
-                           label=f"stats {w.name}",
-                           cache=("stats", stats_key(w))))
             if not w.floating_point:
                 continue
+            args = w.matrix_args(w.exec_case(w.representative_case()),
+                                 AUDIT_SEED)
+            reads = () if args is None else (matrix_node_key(args),)
             g.add(TaskNode(key=f"dataset:{w.name}", kind="dataset-gen",
                            fn=_node_dataset, args=(w.name,),
-                           deps=reads.get(f"dataset:{w.name}", ()),
+                           deps=tuple(k for k in reads if k in g),
                            label=f"dataset {w.name}"))
             g.add(TaskNode(key=f"accuracy:{w.name}", kind="accuracy-audit",
                            fn=_node_accuracy, args=(w.name,),
@@ -419,9 +332,7 @@ def build_observations_graph(workloads: list[Workload] | None = None,
                            label=f"accuracy {w.name}",
                            cache=("accuracy", accuracy_key(
                                w, h200, AUDIT_SEED))))
-        stats_deps = tuple(f"stats:{w.name}" for w in all_workloads())
-        accuracy_deps = tuple(f"accuracy:{w.name}" for w in all_workloads()
-                              if w.floating_point)
+            accuracy_deps += (f"accuracy:{w.name}",)
     for i in range(len(OBSERVATIONS)):
         g.add(TaskNode(key=f"observation:{i + 1:02d}",
                        kind="observation-audit",

@@ -82,13 +82,11 @@ def cmd_perf(args: argparse.Namespace) -> int:
 
 
 def cmd_power(args: argparse.Namespace) -> int:
-    from .analysis.edp import edp_study
+    from .analysis.edp import power_study
     device = Device(args.gpu[0])
-    rows = []
-    for w in _select_workloads(args.workload):
-        for e in edp_study(w, device):
-            rows.append([e.workload, e.variant, f"{e.avg_power_w:.0f} W",
-                         f"{e.loop_time_s:.3f} s", f"{e.edp:.4g} J*s"])
+    rows = [[e.workload, e.variant, f"{e.avg_power_w:.0f} W",
+             f"{e.loop_time_s:.3f} s", f"{e.edp:.4g} J*s"]
+            for e in power_study(_select_workloads(args.workload), device)]
     print(format_table(
         ["Workload", "Variant", "Avg power", "Loop", "EDP"], rows,
         title=f"EDP on {device.spec.name} (Figure 7)"))

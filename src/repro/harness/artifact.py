@@ -18,7 +18,7 @@ import io
 from pathlib import Path
 
 from ..analysis.accuracy import accuracy_table
-from ..analysis.edp import edp_study, power_trace_study, quadrant_geomeans
+from ..analysis.edp import power_study, power_trace_study, quadrant_geomeans
 from ..gpu.device import Device
 from ..kernels.base import Variant, Workload
 from ..kernels import all_workloads, get_workload
@@ -58,10 +58,9 @@ def _perf_outputs(workloads: list[Workload]) -> dict[str, str]:
 
 def _power_outputs(workloads: list[Workload], device: Device
                    ) -> dict[str, str]:
-    entries = []
+    entries = power_study(workloads, device)
     trace_rows = []
     for w in workloads:
-        entries.extend(edp_study(w, device))
         for variant, tr in power_trace_study(w, device).items():
             trace_rows.append([w.name, variant,
                                f"{tr.duration_s:.3f} s",

@@ -5,13 +5,12 @@ it evaluates the analytic model at paper scale for every combination and
 returns structured records the report layer formats into the paper's
 figures.
 
-The grid is embarrassingly parallel, so it runs as a task graph through
-:class:`~repro.graph.GraphScheduler`: one node per workload evaluates
-all cases, variants, and devices, with ``analytic_stats`` hoisted out of
-the device loop (counters are device-independent — only
-``Device.resolve`` varies per GPU).  Records are reassembled in the
-canonical device-major order, so serial (``n_jobs=1``) and parallel runs
-return identical records in identical order.
+It runs as a task graph through :class:`~repro.graph.GraphScheduler`:
+one ``perf:<workload>`` node per workload resolves every case, variant
+and device behind the workload's ``stats:`` rows, which the audit and
+the power study share (:mod:`~repro.analysis.spine`).  Records are
+reassembled in the canonical device-major order, so serial
+(``n_jobs=1``) and parallel runs return identical records in order.
 """
 
 from __future__ import annotations
@@ -20,14 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..analysis.spine import add_spine
 from ..gpu.device import Device
 from ..graph import GraphScheduler, TaskGraph, TaskNode
 from ..kernels.base import Quadrant, Variant, Workload
 from ..kernels import all_workloads
 from ..perf.instrument import stage
 
-__all__ = ["PerfRecord", "build_performance_graph", "run_performance",
-           "speedup_summary", "default_devices"]
+__all__ = ["PerfRecord", "run_performance", "speedup_summary",
+           "default_devices"]
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ def default_devices() -> list[Device]:
 def _workload_records(task: tuple[Workload, list[Device]]
                       ) -> list[list[PerfRecord]]:
     """Evaluate one workload on every device; returns per-device record
-    lists in (case, variant) order.  The analytic counters are computed
-    once per (case, variant) — they are device-independent — and resolved
+    lists in (case, variant) order.  The analytic counters are read once
+    per (case, variant) — they are device-independent — and resolved
     against each device's models."""
     w, devices = task
     per_device: list[list[PerfRecord]] = [[] for _ in devices]
@@ -89,37 +89,26 @@ def _workload_records(task: tuple[Workload, list[Device]]
     return per_device
 
 
-def build_performance_graph(workloads: list[Workload],
-                            devices: list[Device]) -> TaskGraph:
-    """The paper-scale grid as a task graph: one independent
-    ``perf:<workload>`` node per workload (kind ``perf-grid``), each
-    evaluating all cases, variants, and devices.  No edges — the grid
-    is embarrassingly parallel — but as graph nodes they interleave
-    with whatever else shares the scheduler (e.g. serve's batched
-    queries)."""
-    g = TaskGraph()
-    for w in workloads:
-        g.add(TaskNode(key=f"perf:{w.name}", kind="perf-grid",
-                       fn=_workload_records, args=((w, devices),),
-                       label=f"perf {w.name}"))
-    return g
-
-
 def run_performance(workloads: list[Workload] | None = None,
                     devices: list[Device] | None = None,
                     *, n_jobs: int | None = None) -> list[PerfRecord]:
     """Evaluate every (gpu, workload, variant, case) combination.
 
-    Drains :func:`build_performance_graph` through the
-    :class:`~repro.graph.GraphScheduler`.  Records come back in
-    device-major order (device, workload, case, variant) regardless of
-    ``n_jobs``.
+    One ``perf:<workload>`` node (kind ``perf-grid``) per workload, behind
+    its ``stats:`` rows (:func:`~repro.analysis.spine.add_spine`).
+    Records come back in device-major order (device, workload, case,
+    variant) regardless of ``n_jobs``.
     """
     if workloads is None:
         workloads = all_workloads()
     if devices is None:
         devices = default_devices()
-    graph = build_performance_graph(workloads, devices)
+    graph = TaskGraph()
+    spine = add_spine(graph, workloads)
+    for w in workloads:
+        graph.add(TaskNode(key=f"perf:{w.name}", kind="perf-grid",
+                           fn=_workload_records, args=((w, devices),),
+                           deps=spine[w.name], label=f"perf {w.name}"))
     with stage("harness.run_performance"):
         results = GraphScheduler(n_jobs).run(graph)
     per_workload = [results[f"perf:{w.name}"] for w in workloads]

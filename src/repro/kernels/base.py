@@ -34,9 +34,11 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Callable, ClassVar, Mapping
 
+import numpy as np
+
 from ..gpu.counters import KernelStats
 from ..gpu.device import Device, KernelResult
-from ..perf.cache import content_key
+from ..perf.cache import content_key, default_cache, package_source_token
 
 __all__ = [
     "Variant",
@@ -47,8 +49,7 @@ __all__ = [
     "get_workload",
     "all_workloads",
     "workload_names",
-    "stats_table",
-    "install_stats",
+    "stats_key",
     # calibration
     "TC_EFF",
     "TC_EFF_CONST",
@@ -126,10 +127,10 @@ class WorkloadCase:
 # fresh results is guaranteed by construction (the same object's field
 # values) and asserted in the perf tests.
 #
-# The memo lives in one process.  ``stats_table`` packages a workload's
-# whole grid of stats so it can be computed once and shipped elsewhere
-# (the observation audit persists one table per workload through the
-# result cache); ``install_stats`` seeds another process's memo with it.
+# The memo lives in one process.  Across processes the stats persist as
+# one row per (workload, case), written only by the ``stats:`` graph nodes
+# (``repro.analysis.spine``).  A memo miss on a keyable case of the
+# workload's own grid reads that row; without one it computes the triple.
 
 _STATS_MEMO: OrderedDict[str, KernelStats] = OrderedDict()
 _STATS_MEMO_MAX = 8192
@@ -146,6 +147,15 @@ def _memo_key(workload: "Workload", variant: "Variant",
     return content_key(type(workload).__qualname__,
                        dict(workload._memo_state()),
                        variant, case.label, dict(case.params))
+
+
+def stats_key(workload: "Workload", case: "WorkloadCase") -> str:
+    """The result-cache key of one case's ``{variant: KernelStats}`` row;
+    ``TypeError`` when unkeyable."""
+    return content_key("stats", package_source_token(),
+                       type(workload).__qualname__,
+                       dict(workload._memo_state()), case.label,
+                       dict(case.params), np.__version__)
 
 
 def _memo_put(key: str, st: KernelStats) -> None:
@@ -165,6 +175,12 @@ def _memoize_stats(impl: Callable[..., KernelStats]
         except TypeError:   # unkeyable workload/case state: just compute
             return impl(self, variant, case)
         hit = _STATS_MEMO.get(key)
+        if hit is None and case in self.cases():
+            found, row = default_cache().peek("stats", stats_key(self, case))
+            if found:
+                for v, st in row.items():
+                    _memo_put(_memo_key(self, v, case), st)
+            hit = _STATS_MEMO.get(key)
         if hit is None:
             hit = impl(self, variant, case)
             _memo_put(key, hit)
@@ -172,20 +188,6 @@ def _memoize_stats(impl: Callable[..., KernelStats]
 
     wrapper._stats_memoized = True  # type: ignore[attr-defined]
     return wrapper
-
-
-def stats_table(workload: "Workload") -> dict[str, KernelStats]:
-    """``workload.analytic_stats`` over ``variants() x cases()``, keyed
-    by memo key.  Raises ``TypeError`` when the workload is unkeyable."""
-    return {_memo_key(workload, v, c): workload.analytic_stats(v, c)
-            for v in workload.variants() for c in workload.cases()}
-
-
-def install_stats(table: Mapping[str, KernelStats]) -> None:
-    """Seed this process's memo with a :func:`stats_table` computed
-    elsewhere: later ``analytic_stats`` calls on its triples are hits."""
-    for key, st in table.items():
-        _memo_put(key, st)
 
 
 class Workload(abc.ABC):

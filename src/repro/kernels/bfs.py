@@ -60,6 +60,11 @@ class BfsWorkload(Workload):
         # every prepare() and force a full graph recompute per variant.
         return {}
 
+    def __getstate__(self) -> dict:
+        # the prepared graphs are a derived cache: a pickled workload
+        # (a graph node's argument) ships without them
+        return {**vars(self), "_prepared": {}}
+
     # ------------------------------------------------------------------
     def cases(self) -> list[WorkloadCase]:
         return [WorkloadCase(label=g.name, params={"graph": g.name})

@@ -4,7 +4,7 @@ Every resolver is a module-level function of plain data, so the scheduler
 can run it in a worker process (picklable) or a thread interchangeably.
 Resolvers route through the same harness/analysis entry points the CLI
 uses — ``run_performance``, ``classify``, ``accuracy_table``,
-``edp_study``, ``suite_roofline``, ``evaluate_whatif``, ``verify_all`` —
+``power_study``, ``suite_roofline``, ``evaluate_whatif``, ``verify_all`` —
 so a served answer and the equivalent direct invocation are computed by
 the same code on the same deterministic inputs and are therefore
 bit-identical (floats cross the JSON wire via repr-shortest round-trip).
@@ -143,10 +143,10 @@ def _resolve_accuracy(params: Mapping[str, Any]) -> Any:
 
 
 def _resolve_edp(params: Mapping[str, Any]) -> Any:
-    from ..analysis.edp import edp_study
-    return jsonable(edp_study(get_workload(params["workload"]),
-                              Device(params["gpu"]),
-                              repeats=params.get("repeats")))
+    from ..analysis.edp import power_study
+    return jsonable(power_study([get_workload(params["workload"])],
+                                Device(params["gpu"]),
+                                repeats=params.get("repeats"), n_jobs=1))
 
 
 def _resolve_roofline(params: Mapping[str, Any]) -> dict[str, Any]:

@@ -7,12 +7,13 @@ verdicts without generating a dataset or starting a pool.  These tests
 pin that contract on small synthetic graphs and on the real observation
 graph (one shared cold audit populates the cache for the latter), plus
 the two ways it must degrade to "run everything": ``REPRO_CACHE=0`` and
-corrupt entries.  The observation graph's ``stats:`` nodes get the same
-treatment: each workload's analytic stats are computed in one process,
-and a verdict that misses replays them from the persisted tables.  Its
-``matrix:`` nodes generate each full-scale Table 4 matrix once, in one
-pool worker, for every stats and dataset node that reads it, and the
-scheduler's pool is the only one the audit builds.
+corrupt entries.  The characterization spine's ``stats:`` rows get the
+same treatment: each case's analytic stats are computed in one process,
+and a verdict that misses replays them from the persisted rows, as do a
+later ``repro perf`` and ``repro power``.  Its ``matrix:`` nodes generate
+each full-scale Table 4 matrix once, in one pool worker, for every stats
+and dataset node that reads it, and the scheduler's pool is the only one
+the audit builds.
 """
 
 import functools
@@ -33,17 +34,19 @@ from repro import faults
 from repro.analysis import accuracy as acc_mod
 from repro.analysis import observations as obs_mod
 from repro.analysis.accuracy import AUDIT_SEED, accuracy_key
+from repro.analysis import spine as spine_mod
+from repro.analysis.edp import power_study
 from repro.analysis.observations import (
-    _node_matrix,
     build_observations_graph,
     observation_key,
-    stats_key,
     verify_all,
 )
+from repro.analysis.spine import matrix_node_key, stats_key
 from repro.datasets import suitesparse
 from repro.gpu import Device
 from repro.graph import GraphScheduler, TaskGraph, TaskNode
 from repro.graph import scheduler as sched_mod
+from repro.harness.runner import run_performance
 from repro.kernels import SpmvWorkload, all_workloads, get_workload
 from repro.kernels import base as base_mod
 from repro.kernels import spgemm as spgemm_mod
@@ -54,6 +57,8 @@ from repro.perf.cache import (
     set_default_cache,
 )
 from repro.perf.instrument import reset_stage_timings, stage_meta
+
+from .test_identity import EDP_SHA256, _digest
 
 #: sha256 of the default-suite verdicts and evidence — the same pin the
 #: repository benchmark holds the audit to
@@ -110,7 +115,7 @@ def _no_stats(self, variant, case):
 
 def _fresh_stats_memo(mp):
     """An empty process-local stats memo (pool workers fork it), so
-    stats that earlier tests memoized cannot stand in for a table."""
+    stats that earlier tests memoized cannot stand in for a row."""
     mp.setattr(base_mod, "_STATS_MEMO", OrderedDict())
 
 
@@ -266,16 +271,19 @@ class TestCacheKeys:
         assert len(set(variants)) == len(variants)
 
     def test_stats_key_components(self, monkeypatch):
-        assert len({stats_key(w) for w in all_workloads()}) == 10
+        assert len({stats_key(w, c) for w in all_workloads()
+                    for c in w.cases()}) == 50
         spmv = get_workload("spmv")
-        base = stats_key(spmv)
-        variants = [stats_key(SpmvWorkload(scale=0.08))]
+        case = spmv.representative_case()
+        base = stats_key(spmv, case)
+        variants = [stats_key(SpmvWorkload(scale=0.08), case),
+                    stats_key(spmv, spmv.cases()[0])]
         monkeypatch.setattr(np, "__version__", "0.0.0")
-        variants.append(stats_key(spmv))
+        variants.append(stats_key(spmv, case))
         monkeypatch.undo()
-        monkeypatch.setattr(obs_mod, "package_source_token",
+        monkeypatch.setattr(base_mod, "package_source_token",
                             lambda: "edited-source")
-        variants.append(stats_key(spmv))
+        variants.append(stats_key(spmv, case))
         assert base not in variants
         assert len(set(variants)) == len(variants)
 
@@ -293,11 +301,15 @@ def _recording(impl, log):
     return record
 
 
-#: node callables of the observation graph -> their node-key prefix
-_NODE_PREFIX = {fn.__code__: prefix for fn, prefix in (
-    (_node_matrix, "matrix"), (obs_mod._node_stats, "stats"),
-    (obs_mod._node_dataset, "dataset"), (obs_mod._node_accuracy,
-                                         "accuracy"))}
+#: node callables of the spine and the observation graph -> their node
+#: key, from the callable's arguments
+_NODE_KEY = {fn.__code__: key for fn, key in (
+    (spine_mod._node_matrix, lambda a: matrix_node_key(
+        (a["name"], a["scale"], a["seed"]))),
+    (spine_mod._node_stats, lambda a: (f"stats:{a['workload'].name}:"
+                                       f"{a['case'].label}")),
+    (obs_mod._node_dataset, lambda a: f"dataset:{a['name']}"),
+    (obs_mod._node_accuracy, lambda a: f"accuracy:{a['name']}"))}
 
 
 def _calling_node():
@@ -305,9 +317,9 @@ def _calling_node():
     ``-`` outside one."""
     frame = sys._getframe()
     while frame is not None:
-        prefix = _NODE_PREFIX.get(frame.f_code)
-        if prefix is not None:
-            return f"{prefix}:{frame.f_locals['name']}"
+        key = _NODE_KEY.get(frame.f_code)
+        if key is not None:
+            return key(frame.f_locals)
         frame = frame.f_back
     return "-"
 
@@ -326,7 +338,7 @@ def _recording_matrices(mp, log):
 
     mp.setattr(suitesparse, "_generate_matrix_uncached", recording(
         "gen", suitesparse._generate_matrix_uncached))
-    for mod in (spmv_mod, spgemm_mod, obs_mod):
+    for mod in (spmv_mod, spgemm_mod, spine_mod):
         mp.setattr(mod, "generate_matrix",
                    recording("read", suitesparse.generate_matrix))
     for mod in (spmv_mod, spgemm_mod):
@@ -431,6 +443,12 @@ def _upstream(graph, key):
     return seen
 
 
+def _producer(request):
+    """The ``matrix:`` node key of a logged ``name scale seed`` request."""
+    name, scale, seed = request.split()
+    return matrix_node_key((name, float(scale), int(seed)))
+
+
 def _addresses(graph):
     return {n.key: n.cache for n in graph if n.cache is not None}
 
@@ -439,7 +457,7 @@ class TestObservationGraphDemand:
     def test_cold_audit_runs_every_node(self, cold_audit):
         _, results, meta, *_ = cold_audit
         assert _evidence_digest(results) == EVIDENCE_SHA256
-        assert meta["nodes"] == 42
+        assert meta["nodes"] == 82
         assert meta["cached_nodes"] == 0 and meta["skipped_nodes"] == 0
 
     def test_cold_audit_computes_each_workloads_stats_once(self,
@@ -447,11 +465,13 @@ class TestObservationGraphDemand:
         lines = cold_audit[3]
         triples = [line.split(" ", 1)[1] for line in lines]
         assert len(triples) == len(set(triples))
-        pids: dict[str, set[str]] = {}
+        pids: dict[tuple[str, str], set[str]] = {}
         for line in lines:
-            pid, name, _ = line.split(" ", 2)
-            pids.setdefault(name, set()).add(pid)
-        assert sorted(pids) == sorted(w.name for w in all_workloads())
+            pid, name, _, case = line.split(" ", 3)
+            pids.setdefault((name, case), set()).add(pid)
+        assert sorted(pids) == sorted((w.name, c.label)
+                                      for w in all_workloads()
+                                      for c in w.cases())
         assert all(len(p) == 1 for p in pids.values()), pids
         assert os.getpid() not in {int(p) for ps in pids.values()
                                    for p in ps}
@@ -473,7 +493,7 @@ class TestObservationGraphDemand:
         assert full_scale <= set(requests), gens
         for pid, node, request in gens:
             if request in full_scale:
-                assert node == f"matrix:{request.split()[0]}", request
+                assert node == _producer(request), request
                 assert int(pid) != os.getpid(), request
         graph = build_observations_graph()
         readers = {(node, request) for event, _, node, request in events
@@ -481,8 +501,8 @@ class TestObservationGraphDemand:
         assert {node.split(":")[0] for node, _ in readers} >= {
             "matrix", "stats", "dataset"}
         for node, request in readers:
-            producer = f"matrix:{request.split()[0]}"
-            assert producer in _upstream(graph, node), (node, request)
+            assert _producer(request) in _upstream(graph, node), (node,
+                                                                 request)
 
     def test_cold_audit_builds_one_pool_in_the_parent(self, cold_audit):
         """Observation 7 reads its Table 6 rows in-process: the one pool
@@ -494,15 +514,16 @@ class TestObservationGraphDemand:
                                                       audit_cache):
         cache = audit_cache()
         addresses = _addresses(build_observations_graph())
-        # 9 verdicts, 9 Table 6 audits and 10 stats tables, each at its
+        # 9 verdicts, 9 Table 6 audits and 50 stats rows, each at its
         # own address; dataset and matrix products are side effects and
         # declare none
         assert sorted(addresses) == sorted(
             [f"observation:{i:02d}" for i in range(1, 10)]
             + [f"accuracy:{w.name}" for w in all_workloads()
                if w.floating_point]
-            + [f"stats:{w.name}" for w in all_workloads()])
-        assert len(set(addresses.values())) == 28
+            + [f"stats:{w.name}:{c.label}" for w in all_workloads()
+               for c in w.cases()])
+        assert len(set(addresses.values())) == 68
         for key, (kind, ckey) in addresses.items():
             assert cache._entry_path(kind, ckey).is_file(), key
 
@@ -514,7 +535,7 @@ class TestObservationGraphDemand:
         results = verify_all(n_jobs=2)
         assert _evidence_digest(results) == EVIDENCE_SHA256
         meta = stage_meta()["graph"]
-        assert meta["cached_nodes"] == 9 and meta["skipped_nodes"] == 33
+        assert meta["cached_nodes"] == 9 and meta["skipped_nodes"] == 73
         assert meta["overlap_ratio"] is None
         assert cache.stats.disk_hits == 9 and cache.stats.misses == 0
 
@@ -527,10 +548,10 @@ class TestObservationGraphDemand:
         results = verify_all(n_jobs=2)
         assert _evidence_digest(results) == EVIDENCE_SHA256
         meta = stage_meta()["graph"]
-        # 8 verdicts + 9 accuracy audits + 10 stats tables served; the
+        # 8 verdicts + 9 accuracy audits + 50 stats rows served; the
         # 9 dataset and 5 matrix nodes were never demanded; only
         # observation 7 ran
-        assert meta["cached_nodes"] == 27 and meta["skipped_nodes"] == 14
+        assert meta["cached_nodes"] == 67 and meta["skipped_nodes"] == 14
         assert cache._entry_path("observation",
                                  observation_key(6)).is_file()
 
@@ -548,9 +569,40 @@ class TestObservationGraphDemand:
         results = verify_all(n_jobs=2)
         assert _evidence_digest(results) == EVIDENCE_SHA256
         meta = stage_meta()["graph"]
-        # the 9 verdicts ran; 10 stats tables + 9 audits were served, so
+        # the 9 verdicts ran; 50 stats rows + 9 audits were served, so
         # no dataset or matrix node was demanded
-        assert meta["cached_nodes"] == 19 and meta["skipped_nodes"] == 14
+        assert meta["cached_nodes"] == 59 and meta["skipped_nodes"] == 14
+
+    def test_perf_and_power_read_the_audits_stats_rows(
+            self, cold_audit, audit_cache, monkeypatch, tmp_path):
+        """After a cold audit, the Figures 3-6 grid and the Figure 7
+        study serve every ``stats:`` row from the cache and compute no
+        analytic stats: each reader's memo miss finds its row."""
+        copy = _linked_copy(cold_audit[0], tmp_path / "cache")
+        audit_cache(copy)
+        log = tmp_path / "stats.log"
+        log.touch()
+        _fresh_stats_memo(monkeypatch)
+        for w in all_workloads():
+            impl = type(w).analytic_stats.__wrapped__
+            monkeypatch.setattr(type(w), "analytic_stats",
+                                base_mod._memoize_stats(_recording(impl, log)))
+        _forbid_datasets(monkeypatch)
+        assert len(run_performance(n_jobs=2)) == 3 * sum(
+            len(w.cases()) * len(w.variants()) for w in all_workloads())
+        meta = stage_meta()["graph"]
+        # 50 stats rows served; the 5 matrices were never demanded
+        assert meta["nodes"] == 65
+        assert meta["cached_nodes"] == 50 and meta["skipped_nodes"] == 5
+        reset_stage_timings()
+        entries = power_study(all_workloads(), Device("H200"), n_jobs=2)
+        assert _digest(entries) == EDP_SHA256
+        meta = stage_meta()["graph"]
+        # one row per representative case; SpMV and SpGEMM read the same
+        # matrix for theirs
+        assert meta["nodes"] == 21
+        assert meta["cached_nodes"] == 10 and meta["skipped_nodes"] == 1
+        assert log.read_text() == ""
 
     def test_cache_disabled_runs_every_node(self, audit_cache, monkeypatch):
         audit_cache()
@@ -561,8 +613,50 @@ class TestObservationGraphDemand:
         graph.extend([replace(n, fn=_record, args=(n.key,))
                       for n in build_observations_graph()])
         results, stats = _run(graph)
-        assert len(results) == len(_CALLS) == 42
+        assert len(results) == len(_CALLS) == 82
         assert stats.cached_nodes == 0 and stats.skipped_nodes == 0
+
+
+def test_cold_perf_computes_each_row_and_matrix_once(tmp_path,
+                                                     monkeypatch):
+    """A cold pooled grid computes each stats triple once, in its
+    ``stats:`` row, and generates each full-scale Table 4 matrix once, by
+    its ``matrix:`` node, both in pool workers: every ``perf:`` node
+    waits for its rows and reads them."""
+    log, matrix_log = tmp_path / "stats.log", tmp_path / "matrix.log"
+    log.touch()
+    matrix_log.touch()
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    monkeypatch.delenv(faults.ENV_VAR, raising=False)
+    faults.reset_fault_state()
+    _fresh_stats_memo(monkeypatch)
+    for w in all_workloads():
+        impl = type(w).analytic_stats.__wrapped__
+        monkeypatch.setattr(type(w), "analytic_stats",
+                            base_mod._memoize_stats(_recording(impl, log)))
+    _recording_matrices(monkeypatch, matrix_log)
+    previous = set_default_cache(None)
+    try:
+        run_performance(n_jobs=2)
+    finally:
+        set_default_cache(previous)
+    lines = log.read_text().splitlines()
+    assert sorted(line.split(" ", 1)[1] for line in lines) == sorted(
+        f"{w.name} {v.value} {c.label}" for w in all_workloads()
+        for c in w.cases() for v in w.variants())
+    assert os.getpid() not in {int(line.split()[0]) for line in lines}
+    gens = [line.split(" ", 3)[1:]
+            for line in matrix_log.read_text().splitlines()
+            if line.startswith("gen ")]
+    spmv = get_workload("spmv")
+    full_scale = sorted(f"{name} {scale!r} {seed}"
+                        for name, scale, seed in map(spmv.matrix_args,
+                                                     spmv.cases()))
+    assert sorted(request for _, _, request in gens) == full_scale, gens
+    for pid, node, request in gens:
+        assert node == _producer(request), request
+        assert int(pid) != os.getpid(), request
 
 
 def _corrupting_plan(graph, wanted, rate=0.2):
@@ -606,15 +700,15 @@ class TestCorruptWarmAudit:
         assert results == cold_audit[1]  # verdicts AND evidence
         assert _evidence_digest(results) == EVIDENCE_SHA256
         meta = stage_meta()["graph"]
-        # executed: the corrupt verdicts and stats tables, plus the
-        # corrupt audit and its dataset, plus the matrices when a sparse
-        # stats table is corrupt; served: the other verdicts, the other
-        # 8 audits and the other stats tables
+        # executed: the corrupt verdicts and stats rows, plus the
+        # corrupt audit and its dataset, plus the matrix each corrupt
+        # sparse row reads; served: the other verdicts, the other 8
+        # audits and the other stats rows
         n_verdicts, n_stats = len(bad["observation"]), len(bad["stats"])
-        assert meta["cached_nodes"] == (9 - n_verdicts) + 8 + (10 - n_stats)
-        sparse_stats = {"stats:spmv", "stats:spgemm"} & set(bad["stats"])
-        # the other datasets, and the matrices unless a sparse table ran
-        assert meta["skipped_nodes"] == 8 + (0 if sparse_stats else 5)
+        assert meta["cached_nodes"] == (9 - n_verdicts) + 8 + (50 - n_stats)
+        read = {dep for key in bad["stats"] for dep in graph.node(key).deps}
+        # the other datasets, and the matrices no corrupt row reads
+        assert meta["skipped_nodes"] == 8 + 5 - len(read)
         quarantined = {p.name for p in (copy / "_quarantine").iterdir()}
         addresses = _addresses(graph)
         for key in bad["observation"] + bad["accuracy"]:
@@ -629,17 +723,17 @@ class TestCorruptWarmAudit:
         spec, bad = _corrupting_plan(graph, lambda bad: (
             bad["observation"] and bad["stats"] and not bad["accuracy"]))
         reader = ResultCache(copy)
-        tables = {}
+        rows = {}
         for key in bad["stats"]:
-            found, tables[key] = reader.peek(*graph.node(key).cache)
+            found, rows[key] = reader.peek(*graph.node(key).cache)
             assert found, key
         _fresh_stats_memo(monkeypatch)
         faults.install_plan(spec)
         results = GraphScheduler(2).run(graph)
         for i, result in enumerate(cold_audit[1]):
             assert results[f"observation:{i + 1:02d}"] == result
-        for key, table in tables.items():
-            assert pickle.dumps(results[key]) == pickle.dumps(table), key
+        for key, row in rows.items():
+            assert pickle.dumps(results[key]) == pickle.dumps(row), key
         quarantined = {p.name for p in (copy / "_quarantine").iterdir()}
         for key in bad["stats"]:
             assert f"stats__{graph.node(key).cache[1]}.quar" in quarantined

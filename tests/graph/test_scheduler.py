@@ -10,9 +10,11 @@ import random
 
 import pytest
 
+from repro.analysis.edp import edp_study
 from repro.analysis.observations import (_node_accuracy, _node_dataset,
-                                         _node_matrix, _node_stats,
                                          _run_observation)
+from repro.analysis.spine import _node_matrix, _node_stats
+from repro.harness.runner import _workload_records
 from repro.graph import (
     ConcurrencyPolicy,
     GraphScheduler,
@@ -141,12 +143,13 @@ class TestPolicy:
             assert policy.concurrent(node)
 
     @pytest.mark.parametrize("fn", [_node_stats, _run_observation,
-                                    _node_matrix])
+                                    _node_matrix, _workload_records,
+                                    edp_study])
     def test_shipped_facts_let_stats_nodes_fan_out(self, fn):
-        """An exclusive verdict would run each stats table (and every
-        observation that installs them, and every Table 4 matrix the
-        tables read) alone in the parent: the computation stays single
-        but loses all overlap."""
+        """An exclusive verdict would run each stats row (and every
+        Table 4 matrix the rows read, and every observation, grid and
+        power node that reads them) alone in the parent: the computation
+        stays single but loses all overlap."""
         policy = ConcurrencyPolicy()
         assert policy.facts is not None, "determinism_facts.json missing"
         entry = policy.facts["purity"][function_fid(fn)]
