@@ -1034,6 +1034,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"graph: {graph['nodes']} nodes, "
                   f"{graph['cached_nodes']} from cache, "
                   f"{graph['skipped_nodes']} not needed")
+            if graph["makespan_s"]:
+                print(f"makespan {graph['makespan_s']:.2f} s; lower bound "
+                      f"max(critical path {graph['critical_path_s']:.2f} s,"
+                      f" work {graph['node_wall_s']:.2f} s / "
+                      f"{graph['workers']} workers)")
     # machine-readable stage dump for the bench profiler (subprocess runs
     # cannot share the in-process registry)
     stage_json = os.environ.get("REPRO_STAGE_JSON")

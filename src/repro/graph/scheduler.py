@@ -151,6 +151,9 @@ class GraphStats:
     workers: int = 1
     makespan_s: float = 0.0
     node_wall_s: float = 0.0
+    #: the longest chain of executed nodes by node wall; with
+    #: ``node_wall_s / workers`` it bounds the makespan from below
+    critical_path_s: float = 0.0
     #: summed node wall over makespan; None when no node executed
     overlap_ratio: float | None = None
     #: demanded nodes served by a cache probe instead of executing
@@ -227,6 +230,15 @@ class GraphScheduler:
                                             stats))
         stats.makespan_s = time.perf_counter() - t0
         stats.node_wall_s = sum(walls.values())
+        # a dependency served from the cache or never demanded held
+        # nothing up, so only executed nodes extend a chain
+        finish: dict[str, float] = {}
+        for key in order:
+            if key in walls:
+                finish[key] = walls[key] + max(
+                    (finish.get(d, 0.0) for d in graph.node(key).deps),
+                    default=0.0)
+        stats.critical_path_s = max(finish.values(), default=0.0)
         if walls and stats.makespan_s > 0:
             stats.overlap_ratio = stats.node_wall_s / stats.makespan_s
         for key, wall in walls.items():
@@ -235,7 +247,8 @@ class GraphScheduler:
                 stats.per_kind_wall_s.get(kind, 0.0) + wall
         note_graph_run(stats.nodes, stats.node_wall_s, stats.makespan_s,
                        workers=stats.workers, cached=stats.cached_nodes,
-                       skipped=stats.skipped_nodes)
+                       skipped=stats.skipped_nodes,
+                       critical_path_s=stats.critical_path_s)
         return results
 
     # ---------------------------------------------------------- demand

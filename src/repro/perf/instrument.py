@@ -160,7 +160,7 @@ def note_worker_count(n: int) -> None:
 
 def note_graph_run(nodes: int, node_wall_s: float, makespan_s: float, *,
                    workers: int = 1, cached: int = 0,
-                   skipped: int = 0) -> None:
+                   skipped: int = 0, critical_path_s: float = 0.0) -> None:
     """Accumulate one task-graph execution into the run metadata.
 
     ``overlap_ratio`` — summed node wall over summed makespan — is the
@@ -174,12 +174,16 @@ def note_graph_run(nodes: int, node_wall_s: float, makespan_s: float, *,
     no node has executed the ratio stays None: nothing overlapped, and
     nothing failed to.  ``cached`` and ``skipped`` count the nodes the
     scheduler's demand pass served from the cache and never demanded.
+    ``critical_path_s`` is the run's longest chain of executed nodes;
+    summed over runs like the makespan, it is one term of the
+    makespan's lower bound ``max(critical path, node wall / workers)``.
     """
     g = _META.get("graph")
     if not isinstance(g, dict):
         g = _META["graph"] = {"runs": 0, "nodes": 0, "cached_nodes": 0,
                               "skipped_nodes": 0, "workers": 1,
                               "node_wall_s": 0.0, "makespan_s": 0.0,
+                              "critical_path_s": 0.0,
                               "overlap_ratio": None}
     g["runs"] += 1
     g["nodes"] += int(nodes)
@@ -190,6 +194,8 @@ def note_graph_run(nodes: int, node_wall_s: float, makespan_s: float, *,
         return
     g["node_wall_s"] = round(g["node_wall_s"] + float(node_wall_s), 6)
     g["makespan_s"] = round(g["makespan_s"] + float(makespan_s), 6)
+    g["critical_path_s"] = round(g["critical_path_s"]
+                                 + float(critical_path_s), 6)
     g["overlap_ratio"] = round(g["node_wall_s"] / g["makespan_s"], 3) \
         if g["makespan_s"] > 0 else None
 

@@ -13,11 +13,50 @@ study (Table 6) depends on:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CsrMatrix"]
+__all__ = ["CsrMatrix", "accumulate_sequential"]
+
+
+def _sort_stable(key: np.ndarray,
+                 span: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(key[order], order)`` for the stable ascending order of ``key``,
+    whose values lie in ``[0, span)``.
+
+    When ``span`` leaves room, each key carries its position in the low
+    bits: the keys become unique, so numpy's unstable (SIMD) sort yields
+    the stable order, and the sorted keys with it, in one pass."""
+    shift = (len(key) - 1).bit_length()
+    if span >> (63 - shift):
+        order = np.argsort(key, kind="stable")
+        return key[order], order
+    packed = key << shift
+    packed |= np.arange(len(key), dtype=np.int64)
+    packed.sort()
+    order = packed & ((1 << shift) - 1)
+    packed >>= shift
+    return packed, order
+
+
+def accumulate_sequential(vals: np.ndarray,
+                          starts: np.ndarray) -> np.ndarray:
+    """The sequential twin of ``np.add.reduceat(vals, starts)``: the sum
+    of each run ``vals[starts[i]:starts[i + 1]]``, accumulated strictly
+    first-to-last from ``+0.0`` — the CPU-serial order of the SpGEMM
+    reference and of COO duplicate sums.  ``starts`` must rise strictly
+    from 0 (run starts).
+
+    ``np.bincount`` with weights is a C loop ``out[g[i]] += w[i]`` in
+    input order, so it is bit-identical to an explicit Python loop,
+    unlike ``np.add.reduceat``'s pairwise summation of long runs."""
+    if len(vals) == 0:   # bincount of nothing comes back as int64
+        return np.empty(0)
+    group = np.repeat(np.arange(len(starts)),
+                      np.diff(np.r_[starts, len(vals)]))
+    return np.bincount(group, weights=vals)
 
 
 @dataclass
@@ -56,10 +95,11 @@ class CsrMatrix:
 
         One row-major key ``row * n_cols + col`` (so ``n_rows * n_cols``
         must stay below ``2**63``) drives the whole build: the sorted
-        check, one stable ``argsort`` when the input is not already
-        row-major, the duplicate runs and the row pointers.  Duplicates
-        are summed first-to-last in input order with ``np.add.at`` into
-        a zeroed buffer, so a lone ``-0.0`` comes out as ``+0.0``."""
+        check, one stable sort (:func:`_sort_stable`) when the input is
+        not already row-major, the duplicate runs and the row pointers.
+        Duplicates are summed first-to-last in input order from ``+0.0``
+        (:func:`accumulate_sequential`), so a lone ``-0.0`` comes out as
+        ``+0.0``."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
@@ -72,20 +112,12 @@ class CsrMatrix:
             raise ValueError("column index out of range")
         key = rows * np.int64(n_cols) + cols
         if not np.all(key[1:] >= key[:-1]):
-            order = np.argsort(key, kind="stable")
-            # one gather at a time: the unsorted key is freed first
-            key = key[order]
-            cols = cols[order]
-            vals = vals[order]
-        if sum_duplicates and len(key):
-            first = np.empty(len(key), dtype=bool)
-            first[0] = True
-            np.not_equal(key[1:], key[:-1], out=first[1:])
-            group = np.cumsum(first)
-            group -= 1
-            summed = np.zeros(int(group[-1]) + 1)
-            np.add.at(summed, group, vals)
-            key, cols, vals = key[first], cols[first], summed
+            key, order = _sort_stable(key, int(n_rows) * int(n_cols))
+            cols, vals = cols[order], vals[order]
+        if sum_duplicates:
+            starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]][:len(key)])
+            key, cols = key[starts], cols[starts]
+            vals = accumulate_sequential(vals, starts)
         indptr = np.searchsorted(
             key, np.arange(n_rows + 1, dtype=np.int64) * np.int64(n_cols))
         return cls(indptr, cols, vals, shape)
@@ -137,23 +169,18 @@ class CsrMatrix:
     def spmv_serial(self, x: np.ndarray) -> np.ndarray:
         """Ground-truth SpMV: per-row strictly left-to-right accumulation.
 
-        The loop is vectorized *across rows* while staying strictly
-        sequential *within* each row (``np.add.reduceat`` cannot be used: it
-        switches to pairwise summation for long segments).  A unit test
-        checks bit-equality against an explicit Python loop.
+        One ``np.bincount`` over the entries' rows adds each product into
+        its row in entry order, starting from ``+0.0`` (``np.add.reduceat``
+        cannot be used: it switches to pairwise summation for long
+        segments).  A unit test checks bit-equality against an explicit
+        Python loop.
         """
         x = self._check_x(x)
-        out = np.zeros(self.n_rows)
-        if self.nnz == 0:
-            return out
-        products = self.data * x[self.indices]
-        lengths = self.row_lengths()
-        starts = self.indptr[:-1]
-        for i in range(int(lengths.max())):
-            valid = i < lengths
-            idx = np.minimum(starts + i, self.nnz - 1)
-            out = np.where(valid, out + products[idx], out)
-        return out
+        if self.nnz == 0:   # bincount of nothing comes back as int64
+            return np.zeros(self.n_rows)
+        return np.bincount(self.row_of_entry(),
+                           weights=self.data * x[self.indices],
+                           minlength=self.n_rows)
 
     def spmv_warp_tree(self, x: np.ndarray, width: int = 32) -> np.ndarray:
         """cuSPARSE CSR-vector-style SpMV order.
@@ -196,60 +223,68 @@ class CsrMatrix:
     def spgemm(self, other: "CsrMatrix", *, chunk_rows: int = 2048
                ) -> "CsrMatrix":
         """Row-merge SpGEMM ``self @ other`` (expansion + sort + compress),
-        processed in row chunks to bound memory."""
+        processed in row chunks to bound memory; duplicates are compressed
+        by ``np.add.reduceat`` (pairwise for long runs, like a GPU
+        compaction)."""
+        keys, sums = [], []
+        for key, val in self.spgemm_expansion(other, chunk_rows=chunk_rows):
+            starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+            keys.append(key[starts])
+            sums.append(np.add.reduceat(val, starts))
+        return CsrMatrix.from_sorted_keys(keys, sums,
+                                          (self.n_rows, other.n_cols))
+
+    def spgemm_expansion(self, other: "CsrMatrix", *,
+                         chunk_rows: int = 2048
+                         ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The scalar products of ``self @ other`` as sorted chunks.
+
+        Yields ``(key, value)`` per non-empty row chunk, where ``key`` is
+        the row-major output position ``row * other.n_cols + col``,
+        stable-sorted, so each output entry's products keep their
+        row-then-k expansion order.  Rows never straddle a chunk and
+        output groups live within one row, so chunks are key-disjoint and
+        ascending, and any row-aligned chunking reduces bit-identically
+        (tested)."""
         if self.n_cols != other.n_rows:
             raise ValueError(
                 f"dimension mismatch: {self.shape} @ {other.shape}")
-        out_rows: list[np.ndarray] = []
-        out_cols: list[np.ndarray] = []
-        out_vals: list[np.ndarray] = []
-        b_lengths = other.row_lengths()
-        # per-entry expansion counts and cumulative product offsets; rows
-        # never straddle a chunk and output groups live within one row, so
-        # any row-aligned chunking yields bit-identical results (tested)
-        expand_all = b_lengths[self.indices]
+        # per-entry expansion counts and cumulative product offsets
+        expand_all = other.row_lengths()[self.indices]
         segx = np.r_[0, np.cumsum(expand_all)]
         row_prod = segx[self.indptr]
-        # a 32-bit sort key halves the radix passes when it fits
-        small = self.n_rows * other.n_cols < 2 ** 31
         for r0, r1 in self._spgemm_cuts(row_prod, chunk_rows):
             lo, hi = int(self.indptr[r0]), int(self.indptr[r1])
             n_prod = int(row_prod[r1] - row_prod[r0])
             if n_prod == 0:
                 continue
-            a_cols = self.indices[lo:hi]
-            a_vals = self.data[lo:hi]
-            rowkey = np.repeat(
-                np.arange(r0, r1, dtype=np.int64),
-                np.diff(self.indptr[r0:r1 + 1])) * np.int64(other.n_cols)
-            # one repeat builds the entry map; everything else is a single
-            # gather through it (the B position of product j of entry e is
-            # start[e] + j, chunk-local)
-            start = other.indptr[a_cols] - (segx[lo:hi] - segx[lo])
-            entry = np.repeat(np.arange(hi - lo, dtype=np.int64),
-                              expand_all[lo:hi])
-            b_pos = start[entry] + np.arange(n_prod, dtype=np.int64)
-            key = rowkey[entry] + other.indices[b_pos]
-            prod_val = a_vals[entry] * other.data[b_pos]
-            # compress duplicates
-            order = np.argsort(key.astype(np.int32) if small else key,
-                               kind="stable")
-            key_s = key[order]
-            val_s = prod_val[order]
-            boundaries = np.flatnonzero(np.r_[True, key_s[1:] != key_s[:-1]])
-            sums = np.add.reduceat(val_s, boundaries)
-            keys_u = key_s[boundaries]
-            out_rows.append((keys_u // other.n_cols).astype(np.int64))
-            out_cols.append((keys_u % other.n_cols).astype(np.int64))
-            out_vals.append(sums)
-        if not out_rows:
-            return CsrMatrix(np.zeros(self.n_rows + 1, dtype=np.int64),
-                             np.empty(0, dtype=np.int64), np.empty(0),
-                             (self.n_rows, other.n_cols))
-        return CsrMatrix.from_coo(
-            np.concatenate(out_rows), np.concatenate(out_cols),
-            np.concatenate(out_vals), (self.n_rows, other.n_cols),
-            sum_duplicates=False)
+            # chunk-local: the B position of product j of entry e is
+            # start[e] + j, and keys count from the chunk's first row
+            expand = expand_all[lo:hi]
+            start = other.indptr[self.indices[lo:hi]] \
+                - (segx[lo:hi] - segx[lo])
+            b_pos = np.repeat(start, expand) \
+                + np.arange(n_prod, dtype=np.int64)
+            rowkey = np.repeat(np.arange(r1 - r0) * other.n_cols,
+                               np.diff(self.indptr[r0:r1 + 1]))
+            key, order = _sort_stable(
+                np.repeat(rowkey, expand) + other.indices[b_pos],
+                (r1 - r0) * other.n_cols)
+            val = np.repeat(self.data[lo:hi], expand) * other.data[b_pos]
+            yield key + r0 * other.n_cols, val[order]
+
+    @classmethod
+    def from_sorted_keys(cls, keys: list[np.ndarray],
+                         vals: list[np.ndarray],
+                         shape: tuple[int, int]) -> "CsrMatrix":
+        """Build from ascending, duplicate-free row-major key chunks (the
+        reduced :meth:`spgemm_expansion` stream) without re-sorting."""
+        n_rows, n_cols = shape
+        key = np.concatenate([np.empty(0, dtype=np.int64), *keys])
+        val = np.concatenate([np.empty(0), *vals])
+        indptr = np.searchsorted(
+            key, np.arange(n_rows + 1, dtype=np.int64) * np.int64(n_cols))
+        return cls(indptr, key % n_cols, val, shape)
 
     @staticmethod
     def _spgemm_cuts(row_prod: np.ndarray,
@@ -260,16 +295,10 @@ class CsrMatrix:
         cache-resident.  ``row_prod`` maps row boundary -> cumulative
         product count."""
         n_rows = len(row_prod) - 1
-        cuts = set(range(0, n_rows, chunk_rows))
-        cuts.add(n_rows)
-        prod_chunk = 1 << 19
-        total = int(row_prod[-1])
-        if total > prod_chunk:
-            targets = np.arange(1, total // prod_chunk + 1,
-                                dtype=np.int64) * prod_chunk
-            cuts.update(np.searchsorted(row_prod, targets).tolist())
-        ordered = sorted(cuts)
-        return list(zip(ordered[:-1], ordered[1:]))
+        targets = np.arange(1 << 19, int(row_prod[-1]), 1 << 19)
+        cuts = np.unique(np.r_[np.arange(0, n_rows, chunk_rows),
+                               np.searchsorted(row_prod, targets), n_rows])
+        return list(zip(cuts[:-1].tolist(), cuts[1:].tolist()))
 
     # ------------------------------------------------------------ helpers
     def _check_x(self, x: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ serializes exactly the nodes the determinism facts cannot prove pure.
 """
 
 import random
+import time
 
 import pytest
 
@@ -40,6 +41,11 @@ def _tag(key, base):
 
 def _boom(x):
     raise ValueError(f"bad node {x}")
+
+
+def _nap(seconds):
+    time.sleep(seconds)
+    return seconds
 
 
 def _chain_graph(n=12):
@@ -179,6 +185,28 @@ class TestObservability:
         # worker-side node timing files under graph/<kind> in the parent
         names = {t.name for t in stage_timings()}
         assert "graph" in names and "graph/square" in names
+
+    def test_critical_path_is_the_longest_executed_chain(self):
+        # chain a -> b -> c (3 x 40 ms) beside one 40 ms side node: the
+        # chain is the critical path, the side node only adds work
+        g = TaskGraph()
+        g.add(TaskNode(key="a", kind="chain", fn=_nap, args=(0.04,)))
+        g.add(TaskNode(key="b", kind="chain", fn=_nap, args=(0.04,),
+                       deps=("a",)))
+        g.add(TaskNode(key="c", kind="chain", fn=_nap, args=(0.04,),
+                       deps=("b",)))
+        g.add(TaskNode(key="side", kind="side", fn=_nap, args=(0.04,)))
+        reset_stage_timings()
+        sched = GraphScheduler(1)
+        sched.run(g)
+        stats = sched.last_stats
+        assert stats.critical_path_s == pytest.approx(
+            stats.per_kind_wall_s["chain"])
+        assert stats.per_kind_wall_s["side"] < stats.critical_path_s \
+            < stats.node_wall_s <= stats.makespan_s
+        meta = stage_meta()["graph"]
+        assert meta["critical_path_s"] == pytest.approx(
+            stats.critical_path_s, abs=1e-6)
 
     def test_serial_path_records_graph_stage_pair(self):
         reset_stage_timings()

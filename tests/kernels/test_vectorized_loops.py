@@ -4,10 +4,13 @@ replaced, so outputs match bit-for-bit — not merely to tolerance."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.kernels.gemv import GemvWorkload
 from repro.kernels.reduction import ReductionWorkload
 from repro.kernels.scan import ScanWorkload
+from repro.kernels.spgemm import accumulate_sequential
 
 
 def _lane_tree_dot_scalar(a, x, lanes):
@@ -103,3 +106,56 @@ class TestScanCarry:
         blk = p + offs
         expect = _serial_block_carry(blk).reshape(nseg, seg)
         np.testing.assert_array_equal(got, expect)
+
+
+def _sequential_runs(vals, starts):
+    """Each run's sum by an explicit Python loop, first to last from
+    +0.0 (Python floats are IEEE doubles: the same adds, one by one)."""
+    bounds = [int(b) for b in starts] + [len(vals)]
+    out = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        total = 0.0
+        for v in vals[lo:hi]:
+            total += float(v)
+        out.append(total)
+    return np.array(out, dtype=np.float64)
+
+
+specials = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                            -5e-324, 2.2250738585072014e-308, 1.0, 1e-16])
+# run lengths straddle 128, numpy's pairwise-summation block
+run_lengths = st.lists(st.one_of(st.integers(1, 9), st.integers(120, 300)),
+                       max_size=5)
+
+
+@st.composite
+def runs(draw):
+    lengths = draw(run_lengths)
+    vals = draw(st.lists(st.one_of(specials, st.floats()),
+                         min_size=sum(lengths), max_size=sum(lengths)))
+    starts = np.cumsum([0] + lengths[:-1]) if lengths else []
+    return (np.array(vals, dtype=np.float64),
+            np.array(starts, dtype=np.int64))
+
+
+class TestAccumulateSequential:
+    @given(runs())
+    @example((np.array([1.0] + [1e-16] * 200),
+              np.array([0], dtype=np.int64)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_explicit_loop(self, case):
+        # bit for bit, the sign of zero included; a pairwise
+        # ``np.add.reduceat`` rounds the 201-term run differently.  IEEE
+        # 754 leaves a NaN result's sign and payload open (they follow
+        # the operand order the compiler picks), so NaNs match as NaNs.
+        vals, starts = case
+        got = accumulate_sequential(vals, starts)
+        want = _sequential_runs(vals, starts)
+        nan = np.isnan(want)
+        assert got.dtype == np.float64
+        assert np.isnan(got).tolist() == nan.tolist()
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    def test_empty_input(self):
+        got = accumulate_sequential(np.empty(0), np.empty(0, dtype=np.int64))
+        assert got.dtype == np.float64 and got.size == 0

@@ -40,6 +40,8 @@ class TestConstruction:
         a = CsrMatrix.from_coo([], [], [], (5, 5))
         assert a.nnz == 0
         np.testing.assert_array_equal(a.to_dense(), np.zeros((5, 5)))
+        y = a.spmv_serial(np.ones(5))
+        assert y.dtype == np.float64 and y.tolist() == [0.0] * 5
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
@@ -142,6 +144,26 @@ class TestSpgemm:
         c1 = a.spgemm(a, chunk_rows=7)
         c2 = a.spgemm(a, chunk_rows=10000)
         np.testing.assert_array_equal(c1.to_dense(), c2.to_dense())
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3])
+    def test_wide_keys_take_the_stable_sort(self, chunk_rows):
+        # 2**60 columns leave no room to pack expansion positions into
+        # the sort key, so every chunk falls back to a stable argsort
+        n = 1 << 60
+        a = CsrMatrix.from_coo([0, 0, 1, 1, 1, 2], [0, 2, 0, 1, 2, 1],
+                               [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], (3, 3))
+        b = CsrMatrix.from_coo([0, 0, 1, 2, 2], [n - 1, 3, 3, 0, n - 1],
+                               [1.5, 2.0, 3.0, 4.0, 5.0], (3, n))
+        want: dict[tuple[int, int], float] = {}
+        for r, k, av in zip(a.row_of_entry(), a.indices, a.data):
+            for pos in range(b.indptr[k], b.indptr[k + 1]):
+                rc = (int(r), int(b.indices[pos]))
+                want[rc] = want.get(rc, 0.0) + av * b.data[pos]
+        c = a.spgemm(b, chunk_rows=chunk_rows)
+        got = dict(zip(zip(c.row_of_entry().tolist(), c.indices.tolist()),
+                       c.data.tolist()))
+        assert list(got) == sorted(want)
+        assert got == want
 
     def test_identity(self):
         a, da = random_csr(20, 20, 0.3, seed=14)

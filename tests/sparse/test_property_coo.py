@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sparse import csr as csr_mod
 from repro.sparse.csr import CsrMatrix
 
 
@@ -93,16 +94,31 @@ def test_from_coo_matches_the_lexsort_path(case, sum_duplicates):
     assert _bits(got.data) == _bits(data)
 
 
+@given(st.lists(st.integers(0, 40), max_size=300),
+       st.sampled_from([41, 1 << 40, 1 << 62]))
+@settings(max_examples=200, deadline=None)
+def test_sort_stable_is_a_stable_argsort(keys, span):
+    # keys spread over the span; 2**62 leaves no room for the position
+    # bits beyond one key, so it drives the argsort fallback
+    key = np.array(keys, dtype=np.int64) * np.int64(span // 41)
+    before = key.copy()
+    order = np.argsort(key, kind="stable")
+    got_key, got_order = csr_mod._sort_stable(key, span)
+    assert got_order.tolist() == order.tolist()
+    assert got_key.tolist() == key[order].tolist()
+    assert key.tolist() == before.tolist()    # the input is left as is
+
+
 def test_row_major_input_skips_the_sort(monkeypatch):
     def no_sort(*args, **kwargs):
-        raise AssertionError("argsort called on row-major input")
+        raise AssertionError("sort called on row-major input")
 
     dense = np.array([[0.0, 2.0, 0.0], [-0.0, 0.0, 3.0], [4.0, 5.0, 0.0]])
-    monkeypatch.setattr(np, "argsort", no_sort)
+    monkeypatch.setattr(csr_mod, "_sort_stable", no_sort)
     a = CsrMatrix.from_dense(dense)
     assert a.indptr.tolist() == [0, 1, 2, 4]
     b = CsrMatrix.from_coo([0, 0, 1, 1], [1, 1, 0, 2], [1.0, 2.0, 3.0, 4.0],
                            (2, 3))
     assert b.data.tolist() == [3.0, 3.0, 4.0]
-    with pytest.raises(AssertionError, match="argsort"):
+    with pytest.raises(AssertionError, match="sort called"):
         CsrMatrix.from_coo([1, 0], [0, 0], [1.0, 2.0], (2, 1))
